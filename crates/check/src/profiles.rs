@@ -10,6 +10,10 @@
 //! fused-path regression surfaces as a structured
 //! [`Invariant::ProfileDivergence`] violation instead of a silently wrong
 //! frontier.
+//!
+//! The level-by-level diff here is the one loop every profile-comparing
+//! checker shares; [`check_engines`](crate::check_engines) runs it against
+//! the same materialized reference under its own invariant.
 
 use cachedse_core::{postlude, streamed, Bcat, Mrct};
 use cachedse_sim::onepass::DepthProfile;
@@ -17,43 +21,66 @@ use cachedse_trace::strip::StrippedTrace;
 
 use crate::report::{Invariant, Location, Violation};
 
-/// Diffs `candidate` — normally the output of
-/// [`streamed::level_profiles`] — against a freshly materialized
-/// `Mrct::build` + postlude run, level by level.
+/// The reference profiles: a freshly materialized `Mrct::build` + BCAT
+/// postlude run, the paper's published pipeline.
+pub(crate) fn golden_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<DepthProfile> {
+    let bcat = Bcat::from_stripped(stripped, max_index_bits);
+    let mrct = Mrct::build(stripped);
+    postlude::level_profiles(&bcat, &mrct, stripped, max_index_bits)
+}
+
+/// Diffs `candidate` against `golden` level by level: one `invariant`
+/// violation per differing level, or a single global one when the level
+/// counts disagree. `label` names the candidate in each message.
+pub(crate) fn diff_profiles(
+    invariant: Invariant,
+    label: &str,
+    candidate: &[DepthProfile],
+    golden: &[DepthProfile],
+) -> Vec<Violation> {
+    if candidate.len() != golden.len() {
+        return vec![Violation::new(
+            invariant,
+            Location::Global,
+            format!(
+                "{label}: produced {} level profile(s), reference has {}",
+                candidate.len(),
+                golden.len()
+            ),
+        )];
+    }
+    candidate
+        .iter()
+        .zip(golden)
+        .enumerate()
+        .filter(|(_, (got, want))| got != want)
+        .map(|(level, (got, want))| {
+            let level = u32::try_from(level).expect("level fits u32");
+            Violation::new(
+                invariant,
+                Location::Level(level),
+                format!("{label}: profile {got:?} differs from reference {want:?}"),
+            )
+        })
+        .collect()
+}
+
+/// Diffs `candidate` — the streamed fold's output, or the profiles a
+/// cache entry serves — against a freshly materialized `Mrct::build` +
+/// postlude run, level by level.
 #[must_use]
 pub fn check_profiles(
     candidate: &[DepthProfile],
     stripped: &StrippedTrace,
     max_index_bits: u32,
 ) -> Vec<Violation> {
-    let bcat = Bcat::from_stripped(stripped, max_index_bits);
-    let mrct = Mrct::build(stripped);
-    let golden = postlude::level_profiles(&bcat, &mrct, stripped, max_index_bits);
-
-    let mut violations = Vec::new();
-    if candidate.len() != golden.len() {
-        violations.push(Violation::new(
-            Invariant::ProfileDivergence,
-            Location::Global,
-            format!(
-                "streamed path produced {} level profile(s), materialized path has {}",
-                candidate.len(),
-                golden.len()
-            ),
-        ));
-        return violations;
-    }
-    for (level, (got, want)) in candidate.iter().zip(&golden).enumerate() {
-        if got != want {
-            let level = u32::try_from(level).expect("level fits u32");
-            violations.push(Violation::new(
-                Invariant::ProfileDivergence,
-                Location::Level(level),
-                format!("streamed profile {got:?} differs from materialized {want:?}"),
-            ));
-        }
-    }
-    violations
+    let golden = golden_profiles(stripped, max_index_bits);
+    diff_profiles(
+        Invariant::ProfileDivergence,
+        "candidate",
+        candidate,
+        &golden,
+    )
 }
 
 /// Convenience: recomputes the streamed profiles itself and checks them —

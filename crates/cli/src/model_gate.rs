@@ -11,7 +11,7 @@
 //!   one, fed three blocking submissions of a tiny trace, drained, and shut
 //!   down. This walks every lock/condvar/atomic interaction of the worker
 //!   pool (admission backpressure, work handoff, outcome delivery, drain).
-//! - **dfs-split** — the parallel depth-first engine on two worker threads,
+//! - **dfs-split** — the depth-first engine on two worker threads,
 //!   whose per-level profile must equal the serial engine's on every
 //!   schedule (the cursor hand-off and scope join are the interactions
 //!   under test).
@@ -79,8 +79,8 @@ fn scenario_serve_pool() {
     assert_eq!(stats.cache_hits, 2, "the other two jobs reuse it");
 }
 
-/// The parallel depth-first engine on two threads must produce the same
-/// exploration as the serial engine on every interleaving of the
+/// The depth-first engine on two threads must produce the same
+/// exploration as on one, on every interleaving of the
 /// work-stealing cursor. The trace is long enough (8192 references) that
 /// the gather prefix actually parks several work items, so both scoped
 /// workers claim from the shared cursor; the serial reference is computed
@@ -93,7 +93,7 @@ fn scenario_dfs_split() -> impl Fn() {
         .expect("non-empty trace explores");
     move || {
         let threads = std::num::NonZeroUsize::new(2);
-        let parallel = prepare_stripped(&stripped, None, Engine::DepthFirstParallel, threads)
+        let parallel = prepare_stripped(&stripped, None, Engine::DepthFirst, threads)
             .expect("non-empty trace explores");
         for budget in [MissBudget::Absolute(0), MissBudget::FractionOfMax(0.10)] {
             assert_eq!(

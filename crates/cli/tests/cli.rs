@@ -213,6 +213,37 @@ fn rank_orders_by_energy() {
     assert!(energies.windows(2).all(|w| w[0] <= w[1]), "{energies:?}");
 }
 
+/// Parallel depth-first is `--engine dfs --threads N`, answering exactly
+/// what the serial engine does; the retired `parallel` name points there.
+#[test]
+fn dfs_with_threads_matches_serial_dfs() {
+    let path = std::env::temp_dir().join(format!("cachedse-dfs-{}.din", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    let mut gen_args: Vec<&str> = "gen --pattern phases --phases 4 --len 3000 --ws 96 --out"
+        .split(' ')
+        .collect();
+    gen_args.push(path_str);
+    let out = cachedse(&gen_args);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let explore = |extra: &[&str]| {
+        let mut args = vec!["explore", path_str, "--misses", "0", "--format", "json"];
+        args.extend_from_slice(extra);
+        cachedse(&args)
+    };
+    let serial = explore(&["--engine", "dfs"]);
+    let parallel = explore(&["--engine", "dfs", "--threads", "2"]);
+    assert!(serial.status.success(), "{}", stderr(&serial));
+    assert!(parallel.status.success(), "{}", stderr(&parallel));
+    assert_eq!(stdout(&serial), stdout(&parallel));
+
+    let retired = explore(&["--engine", "parallel"]);
+    assert!(!retired.status.success());
+    let message = stderr(&retired);
+    assert!(message.contains("unknown engine"), "{message}");
+    assert!(message.contains("--engine dfs --threads N"), "{message}");
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn unknown_workload_is_a_clean_error() {
     let out = cachedse(&["gen", "--workload", "doom"]);

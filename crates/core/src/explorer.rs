@@ -31,6 +31,12 @@ pub enum MissBudget {
 }
 
 /// Which implementation of the analytical method to run.
+///
+/// Both fast engines share one scheduling rule: pinning `threads ≥ 2` via
+/// [`DesignSpaceExplorer::threads`] / [`prepare_stripped`] runs that
+/// engine's parallel implementation — same bytes, split across a worker
+/// pool — and the default (no pin, or 1) stays serial so pooled services
+/// don't oversubscribe their own workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The streamed MRCT→postlude fusion (DESIGN.md §16): the tombstone
@@ -38,21 +44,14 @@ pub enum Engine {
     /// conflict set folded into the per-level histograms the moment it is
     /// produced — `O(unique refs)` memory, no arena, no sizing pass. The
     /// default for fresh analytical runs; byte-identical to every other
-    /// engine. Pinning `threads ≥ 2` via [`DesignSpaceExplorer::threads`] /
-    /// [`prepare_stripped`] switches to the chunked parallel fold
-    /// (DESIGN.md §17) — same bytes, split across a worker pool; the
-    /// default (no pin) stays serial so pooled services don't oversubscribe
-    /// their own workers.
+    /// engine. Its parallel form is the chunked fold of DESIGN.md §17.
     #[default]
     Streamed,
     /// The Section 2.4 combined algorithm: depth-first subtrace partitioning,
-    /// linear space, no materialized BCAT/MRCT.
+    /// linear space, no materialized BCAT/MRCT. Its parallel form fans BCAT
+    /// subtrees out over a worker pool — the paper's §2.4 distributed-sets
+    /// remark, in threads.
     DepthFirst,
-    /// The depth-first engine with BCAT subtrees fanned out over a worker
-    /// pool — the paper's §2.4 distributed-sets remark, in threads. Worker
-    /// count defaults to the available parallelism and can be pinned via
-    /// [`DesignSpaceExplorer::threads`] / [`prepare_stripped`].
-    DepthFirstParallel,
     /// The paper's Algorithms 1–3 as published: build the BCAT and the MRCT,
     /// then run the postlude over them. Both tables are flat arenas (the
     /// BCAT a radix-partitioned permutation of the reference ids, the MRCT
@@ -66,7 +65,6 @@ impl fmt::Display for Engine {
         match self {
             Self::Streamed => f.write_str("streamed"),
             Self::DepthFirst => f.write_str("depth-first"),
-            Self::DepthFirstParallel => f.write_str("depth-first-parallel"),
             Self::TreeTable => f.write_str("tree-table"),
         }
     }
@@ -127,12 +125,11 @@ impl<'a> DesignSpaceExplorer<'a> {
         self
     }
 
-    /// Pins the worker count used by [`Engine::DepthFirstParallel`]
-    /// (default: the machine's available parallelism) and, when ≥ 2, opts
-    /// [`Engine::Streamed`] into its chunked parallel fold (default:
-    /// serial). Ignored by the other serial engines. The result never
-    /// depends on this value — only the wall clock does — so benchmarks
-    /// and services can set it for reproducible scheduling.
+    /// Pins the worker count: `threads ≥ 2` runs [`Engine::Streamed`] or
+    /// [`Engine::DepthFirst`] on that many workers; 1 (or no pin, the
+    /// default) runs them serially. [`Engine::TreeTable`] ignores it. The
+    /// result never depends on this value — only the wall clock does — so
+    /// benchmarks and services can set it for reproducible scheduling.
     #[must_use]
     pub fn threads(mut self, threads: std::num::NonZeroUsize) -> Self {
         self.threads = Some(threads);
@@ -178,11 +175,10 @@ impl<'a> DesignSpaceExplorer<'a> {
 /// re-stripped every run. [`DesignSpaceExplorer::prepare`] is now a thin
 /// wrapper over this function.
 ///
-/// `threads` pins the worker count of [`Engine::DepthFirstParallel`]
-/// (`None` = the machine's available parallelism) and, when `Some(n ≥ 2)`,
-/// routes [`Engine::Streamed`] through its chunked parallel fold (`None`
-/// keeps it serial — pooled callers already parallelize across traces);
-/// the other serial engines ignore it. The result never depends on the
+/// `threads = Some(n ≥ 2)` runs [`Engine::Streamed`] or
+/// [`Engine::DepthFirst`] on `n` workers; `None` or 1 keeps them serial
+/// (pooled callers already parallelize across traces).
+/// [`Engine::TreeTable`] ignores it. The result never depends on the
 /// worker count.
 ///
 /// # Errors
@@ -203,19 +199,13 @@ pub fn prepare_stripped(
     if max_bits > 31 {
         return Err(ExploreError::IndexBitsTooLarge(max_bits));
     }
-    let profiles = match engine {
-        Engine::Streamed => match threads {
-            Some(t) if t.get() >= 2 => streamed::level_profiles_parallel(stripped, max_bits, t),
-            _ => streamed::level_profiles(stripped, max_bits),
-        },
-        Engine::DepthFirst => dfs::level_profiles(stripped, max_bits),
-        Engine::DepthFirstParallel => {
-            let threads = threads
-                .or_else(|| std::thread::available_parallelism().ok())
-                .unwrap_or(std::num::NonZeroUsize::MIN);
-            dfs::level_profiles_parallel(stripped, max_bits, threads)
-        }
-        Engine::TreeTable => {
+    let workers = threads.filter(|t| t.get() >= 2);
+    let profiles = match (engine, workers) {
+        (Engine::Streamed, Some(t)) => streamed::level_profiles_parallel(stripped, max_bits, t),
+        (Engine::Streamed, None) => streamed::level_profiles(stripped, max_bits),
+        (Engine::DepthFirst, Some(t)) => dfs::level_profiles_parallel(stripped, max_bits, t),
+        (Engine::DepthFirst, None) => dfs::level_profiles(stripped, max_bits),
+        (Engine::TreeTable, _) => {
             let bcat = Bcat::from_stripped(stripped, max_bits);
             let mrct = Mrct::build(stripped);
             postlude::level_profiles(&bcat, &mrct, stripped, max_bits)
@@ -949,12 +939,7 @@ mod tests {
             generate::working_set_phases(3, 200, 24, 7),
         ];
         let refs: Vec<&Trace> = apps.iter().collect();
-        for engine in [
-            Engine::Streamed,
-            Engine::DepthFirst,
-            Engine::DepthFirstParallel,
-            Engine::TreeTable,
-        ] {
+        for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
             let shared = SharedExploration::prepare(&refs, engine, None).unwrap();
             assert_eq!(shared.explorations().len(), refs.len());
             for budget in [
@@ -971,39 +956,25 @@ mod tests {
         }
     }
 
+    /// Pinning `threads ≥ 2` routes each fast engine through its parallel
+    /// implementation; the exploration must not change for any worker
+    /// count.
     #[test]
     fn pinned_thread_counts_do_not_change_results() {
         let trace = generate::working_set_phases(4, 300, 40, 3);
-        let baseline = DesignSpaceExplorer::new(&trace)
-            .engine(Engine::DepthFirst)
-            .explore(MissBudget::Absolute(25))
-            .unwrap();
-        for threads in [1, 2, 5] {
-            let pinned = DesignSpaceExplorer::new(&trace)
-                .engine(Engine::DepthFirstParallel)
-                .threads(std::num::NonZeroUsize::new(threads).expect("nonzero"))
+        for engine in [Engine::Streamed, Engine::DepthFirst] {
+            let baseline = DesignSpaceExplorer::new(&trace)
+                .engine(engine)
                 .explore(MissBudget::Absolute(25))
                 .unwrap();
-            assert_eq!(baseline, pinned, "threads = {threads}");
-        }
-    }
-
-    /// Pinning `threads ≥ 2` routes the streamed engine through the chunked
-    /// parallel fold; the exploration must not change for any worker count.
-    #[test]
-    fn streamed_threads_do_not_change_results() {
-        let trace = generate::working_set_phases(4, 300, 40, 3);
-        let baseline = DesignSpaceExplorer::new(&trace)
-            .engine(Engine::Streamed)
-            .explore(MissBudget::Absolute(25))
-            .unwrap();
-        for threads in [1, 2, 4, 8] {
-            let pinned = DesignSpaceExplorer::new(&trace)
-                .engine(Engine::Streamed)
-                .threads(std::num::NonZeroUsize::new(threads).expect("nonzero"))
-                .explore(MissBudget::Absolute(25))
-                .unwrap();
-            assert_eq!(baseline, pinned, "threads = {threads}");
+            for threads in [1, 2, 5, 8] {
+                let pinned = DesignSpaceExplorer::new(&trace)
+                    .engine(engine)
+                    .threads(std::num::NonZeroUsize::new(threads).expect("nonzero"))
+                    .explore(MissBudget::Absolute(25))
+                    .unwrap();
+                assert_eq!(baseline, pinned, "{engine}, threads = {threads}");
+            }
         }
     }
 }

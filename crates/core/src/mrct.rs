@@ -43,8 +43,6 @@ use std::ops::Index;
 use cachedse_sim::fenwick::Fenwick;
 use cachedse_trace::strip::{RefId, StrippedTrace};
 
-use crate::recency::Recency;
-
 /// "Not on the recency list" marker for `live_pos`, and the tombstone value
 /// for dead recency-array slots. Any real identifier is `< N' < u32::MAX`.
 const ABSENT: u32 = u32::MAX;
@@ -83,23 +81,6 @@ fn recycle(buf: &mut Vec<u32>, len: usize) {
     } else {
         buf.resize(len, 0);
     }
-}
-
-/// Fills `ref_sets` with the global set-slot ranges — reference `r` owns
-/// one slot per non-first occurrence, so the ranges are prefix sums of
-/// `occurrences − 1` — and returns the total slot count. Shared by both
-/// builders.
-fn ref_set_ranges(stripped: &StrippedTrace, ref_sets: &mut Vec<u32>) -> usize {
-    let n_unique = stripped.unique_len();
-    ref_sets.clear();
-    ref_sets.reserve(n_unique + 1);
-    ref_sets.push(0);
-    let mut acc: u32 = 0;
-    for r in 0..n_unique {
-        acc += stripped.occurrences(RefId::new(r as u32)).saturating_sub(1);
-        ref_sets.push(acc);
-    }
-    acc as usize
 }
 
 /// The conflict table: per unique reference, the conflict sets of its
@@ -281,8 +262,18 @@ impl Mrct {
         // that matter the identifier arena is the size of the output
         // (hundreds of megabytes), and faulting it in fresh costs more than
         // every pass below combined.
-        let (ids, mut set_bounds, mut ref_sets) = pooled_buffers();
-        let total_sets = ref_set_ranges(stripped, &mut ref_sets);
+        let (mut ids, mut set_bounds, mut ref_sets) = pooled_buffers();
+        // Global set-slot ranges: reference `r` owns one slot per non-first
+        // occurrence, so the ranges are prefix sums of `occurrences − 1`.
+        ref_sets.clear();
+        ref_sets.reserve(n_unique + 1);
+        ref_sets.push(0);
+        let mut total_sets: u32 = 0;
+        for r in 0..n_unique {
+            total_sets += stripped.occurrences(RefId::new(r as u32)).saturating_sub(1);
+            ref_sets.push(total_sets);
+        }
+        let total_sets = total_sets as usize;
 
         // Pass one: per-slot set sizes via Fenwick stack-distance counting.
         // Every entry of `set_bounds` past index 0 is written by the loop
@@ -308,189 +299,7 @@ impl Mrct {
             last[i] = u32::try_from(t).expect("trace position fits u32");
         }
 
-        Self::finish_from_sizes(stripped, ids, set_bounds, ref_sets)
-    }
-
-    /// Multi-core variant of [`build`](Self::build), producing an identical
-    /// table for every thread count (asserted by the differential tests and
-    /// the emission pass's own size/emission cross-check).
-    ///
-    /// Only the **sizing pass** is chunked — it is the `O(N log N)` half,
-    /// uniform per position, so equal-position chunk boundaries balance it;
-    /// the emission pass writes one shared arena and stays serial. A serial
-    /// `O(N)` pre-scan replays the recency machine (no Fenwick) and
-    /// snapshots, at each boundary `B`, every reference's occurrence count
-    /// and compacted recency rank — i.e. its position in the last-access
-    /// order of the prefix `[0, B)`. Each worker then re-derives its
-    /// chunk's exact set sizes from local state alone:
-    ///
-    /// * **same-chunk recurrence** (previous occurrence `p ≥ B`): the
-    ///   serial count `|markers in (p, t)|` only involves markers placed at
-    ///   in-chunk positions, so a chunk-local Fenwick with the usual
-    ///   move-marker discipline answers it verbatim;
-    /// * **cross-chunk recurrence** (`p < B`, at most one per reference per
-    ///   chunk): split the reuse window at `B`. Markers in `[B, t)` are the
-    ///   distinct references touched in-chunk so far (local Fenwick prefix
-    ///   sum). Markers in `(p, B)` are the references *more recent than the
-    ///   owner* in the boundary snapshot — `snap_live − 1 − rank(owner)` of
-    ///   them — minus those re-touched in `[B, t)`, whose markers moved
-    ///   into the chunk: a second Fenwick over snapshot ranks, bumped at
-    ///   each snapshot-resident reference's first in-chunk access, counts
-    ///   that overlap exactly.
-    ///
-    /// Workers return `(slot, size)` pairs (slots from the occurrence-count
-    /// snapshots) that scatter into `set_bounds` serially; prefix sums and
-    /// the emission pass are shared with the serial builder, and emission's
-    /// debug assertion that every set fills its reserved range exactly is a
-    /// built-in differential check on the parallel sizes.
-    #[must_use]
-    pub fn build_parallel(stripped: &StrippedTrace, threads: std::num::NonZeroUsize) -> Self {
-        let n_unique = stripped.unique_len();
-        let sequence = stripped.id_sequence();
-        let chunk_count = threads.get().min(sequence.len() / 2);
-        if chunk_count < 2 {
-            return Self::build(stripped);
-        }
-        debug_assert!(
-            n_unique < ABSENT as usize,
-            "id space leaves room for the tombstone marker"
-        );
-
-        let (ids, mut set_bounds, mut ref_sets) = pooled_buffers();
-        let total_sets = ref_set_ranges(stripped, &mut ref_sets);
-
-        // Equal-position chunk boundaries: sizing work is O(log N) per
-        // position regardless of conflict volume, so positions are the
-        // right balance currency here (unlike the streamed fold).
-        let bounds: Vec<usize> = (0..=chunk_count)
-            .map(|k| k * sequence.len() / chunk_count)
-            .collect();
-
-        // Serial pre-scan: occurrence counts plus compacted recency ranks
-        // at each interior boundary, O(N + chunks · N') total.
-        struct SizingSnapshot {
-            /// Occurrences of each reference strictly before the boundary.
-            occ: Vec<u32>,
-            /// Compacted recency rank of each reference at the boundary
-            /// (its position in last-access order), [`ABSENT`] if unseen.
-            rank: Vec<u32>,
-            /// Number of references seen before the boundary.
-            live: usize,
-        }
-        let mut snaps: Vec<SizingSnapshot> = Vec::with_capacity(chunk_count - 1);
-        {
-            let mut replay = Recency::new(n_unique, sequence.len());
-            let mut occ: Vec<u32> = vec![0; n_unique];
-            let mut next_cut = 1;
-            for (t, &id) in sequence.iter().enumerate() {
-                if next_cut < chunk_count && bounds[next_cut] == t {
-                    replay.compact();
-                    snaps.push(SizingSnapshot {
-                        occ: occ.clone(),
-                        rank: replay.live_pos.clone(),
-                        live: replay.live,
-                    });
-                    next_cut += 1;
-                }
-                replay.advance(id);
-                occ[id.index()] += 1;
-            }
-            debug_assert_eq!(snaps.len(), chunk_count - 1);
-        }
-
-        recycle(&mut set_bounds, total_sets + 1);
-        if let Some(first) = set_bounds.first_mut() {
-            *first = 0;
-        }
-
-        // Parallel sizing: one worker per chunk (uniform work), each
-        // returning its chunk's (slot, size) pairs. The shim keeps the
-        // fan-out explorable by the model checker.
-        let ref_sets_view = &ref_sets;
-        let sized: Vec<Vec<(u32, u32)>> = cachedse_sync::thread::scope(|scope| {
-            let handles: Vec<_> = (0..chunk_count)
-                .map(|k| {
-                    let snaps = &snaps;
-                    let bounds = &bounds;
-                    scope.spawn(move || {
-                        let chunk = &sequence[bounds[k]..bounds[k + 1]];
-                        let (mut occ, snap) = if k == 0 {
-                            (vec![0u32; n_unique], None)
-                        } else {
-                            let s = &snaps[k - 1];
-                            (s.occ.clone(), Some(s))
-                        };
-                        let snap_live = snap.map_or(0, |s| s.live);
-                        let mut local_fenwick = Fenwick::new(chunk.len());
-                        let mut snap_fenwick = Fenwick::new(snap_live);
-                        let mut local_last: Vec<u32> = vec![ABSENT; n_unique];
-                        let mut out: Vec<(u32, u32)> = Vec::new();
-                        for (u, &id) in chunk.iter().enumerate() {
-                            let i = id.index();
-                            let lp = local_last[i];
-                            if lp != ABSENT {
-                                // Same-chunk recurrence: all markers of the
-                                // reuse window live at in-chunk positions.
-                                let size = local_fenwick.range_sum(lp as usize + 1, u);
-                                out.push((ref_sets_view[i] + occ[i] - 1, size));
-                                local_fenwick.add(lp as usize, -1);
-                            } else {
-                                let rank = snap.map_or(ABSENT, |s| s.rank[i]);
-                                if occ[i] > 0 {
-                                    // Cross-chunk recurrence: in-chunk
-                                    // distinct refs, plus the snapshot refs
-                                    // more recent than the owner, minus the
-                                    // ones re-touched in-chunk (markers
-                                    // moved past the boundary).
-                                    debug_assert_ne!(rank, ABSENT);
-                                    let in_chunk = local_fenwick.prefix_sum(u);
-                                    let more_recent = (snap_live - 1 - rank as usize) as u32;
-                                    let moved =
-                                        snap_fenwick.range_sum(rank as usize + 1, snap_live);
-                                    out.push((
-                                        ref_sets_view[i] + occ[i] - 1,
-                                        in_chunk + more_recent - moved,
-                                    ));
-                                }
-                                // First in-chunk touch of a snapshot-resident
-                                // reference: its marker is now in-chunk.
-                                if rank != ABSENT {
-                                    snap_fenwick.add(rank as usize, 1);
-                                }
-                            }
-                            local_fenwick.add(u, 1);
-                            local_last[i] = u32::try_from(u).expect("chunk position fits u32");
-                            occ[i] += 1;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sizing worker does not panic"))
-                .collect()
-        });
-        for part in &sized {
-            for &(slot, size) in part {
-                set_bounds[slot as usize + 1] = size;
-            }
-        }
-
-        Self::finish_from_sizes(stripped, ids, set_bounds, ref_sets)
-    }
-
-    /// Shared tail of both builders: turns the per-slot sizes staged in
-    /// `set_bounds[1..]` into arena offsets (prefix sums), then runs the
-    /// serial emission pass into the reserved ranges.
-    fn finish_from_sizes(
-        stripped: &StrippedTrace,
-        mut ids: Vec<u32>,
-        mut set_bounds: Vec<u32>,
-        ref_sets: Vec<u32>,
-    ) -> Self {
-        let n_unique = stripped.unique_len();
-        let sequence = stripped.id_sequence();
+        // Prefix sums turn the per-slot sizes into arena offsets.
         let mut acc64: u64 = 0;
         for bound in set_bounds.iter_mut().skip(1) {
             acc64 += u64::from(*bound);
@@ -510,7 +319,7 @@ impl Mrct {
         let mut live_pos: Vec<u32> = vec![ABSENT; n_unique];
         let mut dead: Vec<u32> = Vec::new();
         let mut live: usize = 0;
-        let mut next_slot: Vec<u32> = ref_sets[..n_unique].to_vec();
+        next_slot.copy_from_slice(&ref_sets[..n_unique]);
         for &id in sequence {
             let i = id.index();
             let p = live_pos[i];
@@ -925,43 +734,6 @@ mod tests {
         for trace in random_traces(0x4AC7, 64, 30, 200) {
             let stripped = StrippedTrace::from_trace(&trace);
             assert_eq!(Mrct::build(&stripped), Mrct::build_naive(&stripped));
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_workload_shapes() {
-        for trace in [
-            generate::loop_pattern(0, 16, 10),
-            generate::strided(0, 8, 32, 4),
-            generate::uniform_random(500, 40, 3),
-            generate::working_set_phases(3, 100, 12, 9),
-            generate::loop_with_excursions(0, 48, 30, 11, 1 << 10, 5),
-        ] {
-            let stripped = StrippedTrace::from_trace(&trace);
-            let serial = Mrct::build(&stripped);
-            for threads in [1usize, 2, 3, 4, 8] {
-                let threads = std::num::NonZeroUsize::new(threads).expect("nonzero");
-                assert_eq!(
-                    serial,
-                    Mrct::build_parallel(&stripped, threads),
-                    "threads {threads}"
-                );
-            }
-        }
-    }
-
-    /// Randomized parallel/serial equality, with thread counts cycling past
-    /// the chunkable maximum (tiny traces must fall back cleanly).
-    #[test]
-    fn parallel_matches_serial_on_random_traces() {
-        for (case, trace) in random_traces(0x9E37, 64, 30, 200).into_iter().enumerate() {
-            let stripped = StrippedTrace::from_trace(&trace);
-            let threads = std::num::NonZeroUsize::new(2 + case % 7).expect("nonzero");
-            assert_eq!(
-                Mrct::build(&stripped),
-                Mrct::build_parallel(&stripped, threads),
-                "case {case}, threads {threads}"
-            );
         }
     }
 

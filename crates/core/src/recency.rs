@@ -1,13 +1,13 @@
-//! The tombstone-compacted recency array shared by the streamed profile
-//! fold and the parallel MRCT sizing pass.
+//! The tombstone-compacted recency array of the streamed profile fold.
 //!
-//! `Mrct::build` pass two, `streamed::level_profiles`, and the chunked
-//! parallel variants of both all replay the same state machine: live
-//! references in last-access order, dead entries tombstoned in place
-//! (`O(1)` move-to-back), the whole array rewritten once tombstones exceed
-//! a small fraction of the live entries (amortized `O(1)` per access).
-//! This module holds that machine once, plus the two pieces the parallel
-//! paths add on top:
+//! `streamed::level_profiles` and its chunked parallel variant replay the
+//! same state machine: live references in last-access order, dead entries
+//! tombstoned in place (`O(1)` move-to-back), the whole array rewritten
+//! once tombstones exceed a small fraction of the live entries (amortized
+//! `O(1)` per access). `Mrct::build`'s emission pass runs the same
+//! discipline inline against its own sorted dead-position index. This
+//! module holds the machine once, plus the two pieces the parallel fold
+//! adds on top:
 //!
 //! * **snapshots** — a forced compaction followed by a clone of the live
 //!   state (`O(unique)`), which lets a worker resume the replay from any
@@ -100,8 +100,8 @@ impl Recency {
     /// of the advance itself, enough to rival the fold it is supposed to
     /// be a cheap prelude to. The fold-free passes instead let the array
     /// carry up to `live` tombstones (still `O(unique)` memory) and
-    /// compact amortized `O(1)`; consumers force-compact at the points
-    /// where density matters (snapshots, boundary rank captures).
+    /// compact amortized `O(1)`; snapshots force-compact where density
+    /// matters.
     ///
     /// Returns the recurrence's *span length* — the live suffix plus
     /// whatever tombstones the lazy trigger has accumulated inside it (at

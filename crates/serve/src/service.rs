@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cachedse_check::{check_artifacts, BcatSnapshot, MrctSnapshot};
+use cachedse_check::{check_profiles, CheckReport};
 use cachedse_core::Engine;
 use cachedse_store::ArtifactStore;
 use cachedse_sync::atomic::{AtomicBool, Ordering};
@@ -53,17 +53,19 @@ pub struct ServiceConfig {
     /// Deadline applied to jobs that do not set their own `timeout_ms`
     /// (`None` = no default deadline).
     pub default_timeout_ms: Option<u64>,
-    /// Re-verify cached artifacts with `cachedse-check` before every reuse.
-    /// Forces tree/table artifact retention whatever `engine` says, so the
-    /// checks have something to verify.
+    /// Before every reuse — a memory hit or a warm store load — recompute
+    /// the entry's per-depth profiles with `cachedse-check` and compare
+    /// them to the bytes that will answer the job. Leaves `engine` as
+    /// configured.
     pub validate: bool,
     /// The analytical engine workers run. The default streamed engine
     /// fuses the MRCT replay with the postlude and analyzes without
     /// materializing the BCAT/MRCT (O(N') memory); [`Engine::TreeTable`]
     /// retains them (all engines produce identical results).
     pub engine: Engine,
-    /// Worker count for [`Engine::DepthFirstParallel`] (`None` = available
-    /// parallelism). Ignored by the serial engines.
+    /// Worker pin for each analysis: `threads ≥ 2` runs the streamed or
+    /// depth-first engine on that many workers; `None` or 1 runs it
+    /// serially (the pool already parallelizes across jobs).
     pub threads: Option<std::num::NonZeroUsize>,
     /// Backing artifact store attached to the cache (`None` = memory-only).
     /// With a store, analyses write through and survive both in-memory
@@ -410,29 +412,23 @@ fn run_job(inner: &Inner, label: &str, spec: &JobSpec) -> JobOutcome {
                 max_index_bits,
                 inner.config.engine,
                 inner.config.threads,
-                inner.config.validate,
             );
             metrics.record_stage(Stage::Analyze, analyze_start.elapsed());
             built.map_err(JobError::from)
         })?;
         (key, artifacts, found)
     };
-    match found {
-        Found::Hit => {
-            metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if inner.config.validate {
-                validate_artifacts(inner, &key, &artifacts)?;
-            }
-        }
-        // A warm load already passed the codec checksum and the full
-        // `check_artifacts` gate inside the store tier, so `validate`
-        // does not re-check it here.
-        Found::Warm => {
-            metrics.store_warm.fetch_add(1, Ordering::Relaxed);
-        }
-        Found::Miss => {
-            metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
+    let counter = match found {
+        Found::Hit => &metrics.cache_hits,
+        Found::Warm => &metrics.store_warm,
+        Found::Miss => &metrics.cache_misses,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    // A fresh build is what the engine just computed; reused bytes — a
+    // memory hit, or a warm load that passed only the store's stats gate
+    // — are re-derived before they answer.
+    if inner.config.validate && found != Found::Miss {
+        validate_profiles(inner, &key, &artifacts)?;
     }
     check_deadline(start, limit_ms)?;
 
@@ -480,29 +476,28 @@ fn resolve_by_digest(
     Ok((key, artifacts, found))
 }
 
-fn validate_artifacts(
+/// Recomputes the profiles from the stripped trace and diffs them against
+/// the entry's; a mismatch evicts the entry from memory and the store.
+fn validate_profiles(
     inner: &Inner,
     key: &ArtifactKey,
     artifacts: &TraceArtifacts,
 ) -> Result<(), JobError> {
     inner.metrics.validations.fetch_add(1, Ordering::Relaxed);
-    let Some(tree) = artifacts.tree.as_ref() else {
-        // Unreachable in practice: a validating service builds every cache
-        // entry with the tree retained (the cache is service-private).
-        return Ok(());
-    };
-    let report = check_artifacts(
-        &tree.zero_one,
-        &BcatSnapshot::of(&tree.bcat),
-        &MrctSnapshot::of(&tree.mrct),
+    let profiles = check_profiles(
+        artifacts.exploration.profiles(),
         &artifacts.stripped,
+        key.max_index_bits,
     );
-    if report.is_clean() {
-        Ok(())
-    } else {
-        inner.cache.evict(key);
-        Err(JobError::ArtifactCorrupt(report.to_json().render()))
+    if profiles.is_empty() {
+        return Ok(());
     }
+    inner.cache.evict(key);
+    let report = CheckReport {
+        profiles,
+        ..CheckReport::default()
+    };
+    Err(JobError::ArtifactCorrupt(report.to_json().render()))
 }
 
 pub(crate) fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
@@ -713,30 +708,27 @@ mod tests {
     fn all_engines_answer_identically() {
         let spec = || loop_spec("engines", 40, 2);
         let mut results = Vec::new();
-        for engine in [
-            Engine::Streamed,
-            Engine::DepthFirst,
-            Engine::DepthFirstParallel,
-            Engine::TreeTable,
-        ] {
-            let service = Service::start(ServiceConfig {
-                workers: 1,
-                engine,
-                threads: std::num::NonZeroUsize::new(2),
-                ..ServiceConfig::default()
-            });
-            let id = service.submit(spec()).unwrap();
-            let (_, outcome) = service.wait(id);
-            results.push(outcome.unwrap().result);
-            let _ = service.shutdown();
+        for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+            for threads in [None, std::num::NonZeroUsize::new(2)] {
+                let service = Service::start(ServiceConfig {
+                    workers: 1,
+                    engine,
+                    threads,
+                    ..ServiceConfig::default()
+                });
+                let id = service.submit(spec()).unwrap();
+                let (_, outcome) = service.wait(id);
+                results.push(outcome.unwrap().result);
+                let _ = service.shutdown();
+            }
         }
         for other in &results[1..] {
             assert_eq!(&results[0], other);
         }
     }
 
-    /// Validation still works when the configured engine would not
-    /// normally materialize the tree: `validate` forces retention.
+    /// Validation recomputes the profiles, so it works with an engine that
+    /// never materializes the tree — and does not force one into the cache.
     #[test]
     fn validate_with_depth_first_engine() {
         let service = Service::start(ServiceConfig {
@@ -747,8 +739,52 @@ mod tests {
         });
         let a = service.submit(loop_spec("a", 10, 0)).unwrap();
         let b = service.submit(loop_spec("b", 10, 1)).unwrap();
-        service.wait(a).1.unwrap();
+        let digest = service.wait(a).1.unwrap().digest;
         service.wait(b).1.unwrap();
+        let key = service.cache().keys_for(digest)[0];
+        let (cached, _) = service.cache().get(&key).unwrap();
+        assert!(cached.tree.is_none(), "validate must not force a tree");
+        assert_eq!(cached.exploration.engine(), Engine::DepthFirst);
+        let stats = service.shutdown();
+        assert_eq!(stats.validations, 1);
+    }
+
+    /// A cached entry whose profiles were skewed (totals intact, so every
+    /// stats gate passes) is caught on reuse, evicted, and reported.
+    #[test]
+    fn validate_rejects_skewed_cached_profiles() {
+        use cachedse_check::{inject_profiles, FaultKind};
+        use cachedse_core::Exploration;
+
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            validate: true,
+            ..ServiceConfig::default()
+        });
+        let trace = load_trace(&loop_spec("x", 10, 0).trace).unwrap();
+        let key = ArtifactKey::of(&trace, trace.address_bits());
+        let built =
+            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed, None).unwrap();
+        let mut profiles = built.exploration.profiles().to_vec();
+        assert!(inject_profiles(&mut profiles, FaultKind::StreamedCountSkew));
+        let exploration =
+            Exploration::from_parts(profiles, built.exploration.stats(), Engine::Streamed).unwrap();
+        service.cache().insert(
+            key,
+            TraceArtifacts {
+                exploration,
+                ..built
+            },
+        );
+
+        let spec = JobSpec {
+            trace: TraceSource::Digest(key.digest),
+            ..loop_spec("skewed", 10, 0)
+        };
+        let id = service.submit(spec).unwrap();
+        let err = service.wait(id).1.unwrap_err();
+        assert!(matches!(err, JobError::ArtifactCorrupt(_)), "{err:?}");
+        assert!(service.cache().keys_for(key.digest).is_empty(), "evicted");
         let stats = service.shutdown();
         assert_eq!(stats.validations, 1);
     }

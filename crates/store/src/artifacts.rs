@@ -44,8 +44,8 @@ impl ArtifactKey {
 }
 
 /// The materialized tree/table structures of the paper's Algorithms 1–2,
-/// retained only when something downstream consumes them (validation, or
-/// the tree-table engine itself). Both tables are flat-arena backed: the
+/// retained only by the tree-table engine, which builds them anyway. Both
+/// tables are flat-arena backed: the
 /// BCAT's node sets are ranges of its permutation arena (DESIGN.md §13) and
 /// the MRCT is a CSR arena (§12), so a cached entry holds a handful of
 /// contiguous buffers rather than per-node allocations — which is also
@@ -86,17 +86,15 @@ impl TraceArtifacts {
     ///
     /// Propagates [`ExploreError`] (empty trace, oversized index cap).
     pub fn build(trace: &Trace, max_index_bits: u32) -> Result<Self, ExploreError> {
-        Self::build_with(trace, max_index_bits, Engine::TreeTable, None, true)
+        Self::build_with(trace, max_index_bits, Engine::TreeTable, None)
     }
 
-    /// Analyzes `trace` with `engine`, materializing the BCAT/MRCT only
-    /// when `with_tree` asks for them (or the engine builds them anyway).
-    /// The depth-first engines go through
-    /// [`prepare_stripped`](cachedse_core::prepare_stripped) and allocate
-    /// nothing beyond their scratch arena; `threads` pins the parallel
-    /// engines' worker count and, when ≥ 2, also chunks the materialized
-    /// MRCT's sizing pass ([`Mrct::build_parallel`]) — both tables are
-    /// byte-identical for every worker count.
+    /// Analyzes `trace` with `engine`. Only [`Engine::TreeTable`]
+    /// materializes (and keeps) the BCAT/MRCT; the other engines go
+    /// through [`prepare_stripped`](cachedse_core::prepare_stripped) and
+    /// allocate nothing beyond their scratch state, with `threads ≥ 2`
+    /// selecting their parallel implementation. Every combination answers
+    /// byte-identical profiles.
     ///
     /// # Errors
     ///
@@ -106,22 +104,18 @@ impl TraceArtifacts {
         max_index_bits: u32,
         engine: Engine,
         threads: Option<std::num::NonZeroUsize>,
-        with_tree: bool,
     ) -> Result<Self, ExploreError> {
         let stripped = StrippedTrace::from_trace(trace);
         if stripped.is_empty() {
             return Err(ExploreError::EmptyTrace);
         }
-        if with_tree || engine == Engine::TreeTable {
+        if engine == Engine::TreeTable {
             let zero_one = ZeroOneSets::from_stripped(&stripped);
             // The radix builder reads addresses straight off the stripped
             // trace; the zero/one sets are still materialized for the
-            // validation path (`cachedse-check` consumes them).
+            // store's load gate (`cachedse-check` consumes them).
             let bcat = Bcat::from_stripped(&stripped, max_index_bits);
-            let mrct = match threads {
-                Some(t) if t.get() >= 2 => Mrct::build_parallel(&stripped, t),
-                _ => Mrct::build(&stripped),
-            };
+            let mrct = Mrct::build(&stripped);
             let exploration = cachedse_core::Exploration::from_artifacts(
                 &bcat,
                 &mrct,

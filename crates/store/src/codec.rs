@@ -14,8 +14,9 @@
 //!                            treeless entries
 //! address_bits     u32       width of the stripped trace's addresses
 //! stats            3 × u64   total N, unique N', max_misses
-//! engine           u32       0 depth-first, 1 parallel, 2 tree-table,
-//!                            3 streamed
+//! engine           u32       0 depth-first, 2 tree-table, 3 streamed
+//!                            (1, the retired parallel depth-first tag,
+//!                            still reads as depth-first)
 //! unique           len + u32[]   unique addresses in identifier order
 //! ids              len + u32[]   the access order as identifiers
 //! profiles         len, then per profile:
@@ -148,7 +149,6 @@ pub fn encode(key: &ArtifactKey, artifacts: &TraceArtifacts) -> Vec<u8> {
 fn engine_code(engine: Engine) -> u32 {
     match engine {
         Engine::DepthFirst => 0,
-        Engine::DepthFirstParallel => 1,
         Engine::TreeTable => 2,
         Engine::Streamed => 3,
     }
@@ -156,8 +156,9 @@ fn engine_code(engine: Engine) -> u32 {
 
 fn engine_of(code: u32) -> Result<Engine, StoreError> {
     match code {
-        0 => Ok(Engine::DepthFirst),
-        1 => Ok(Engine::DepthFirstParallel),
+        // 1 tagged the depth-first engine's parallel schedule when it was
+        // its own engine; entries written then answer identically.
+        0 | 1 => Ok(Engine::DepthFirst),
         2 => Ok(Engine::TreeTable),
         3 => Ok(Engine::Streamed),
         other => Err(StoreError::Corrupt(format!("unknown engine code {other}"))),
@@ -382,7 +383,7 @@ mod tests {
         let artifacts = if with_tree {
             TraceArtifacts::build(&trace, key.max_index_bits).unwrap()
         } else {
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::DepthFirst, None, false)
+            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::DepthFirst, None)
                 .unwrap()
         };
         (key, artifacts)
@@ -416,8 +417,7 @@ mod tests {
         let trace = generate::working_set_phases(2, 150, 32, 9);
         let key = ArtifactKey::of(&trace, trace.address_bits());
         let artifacts =
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed, None, false)
-                .unwrap();
+            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed, None).unwrap();
         assert!(artifacts.tree.is_none());
         let bytes = encode(&key, &artifacts);
         let flags = u32::from_le_bytes(bytes[FLAGS_AT..FLAGS_AT + 4].try_into().unwrap());
@@ -439,6 +439,28 @@ mod tests {
         let (decoded_key, decoded) = decode(&bytes).unwrap();
         assert_eq!(decoded_key, key);
         assert_eq!(decoded, artifacts);
+    }
+
+    /// Byte offset of the `engine` field: flags + address_bits + stats.
+    const ENGINE_AT: usize = FLAGS_AT + 4 + 4 + 24;
+
+    #[test]
+    fn legacy_parallel_engine_tag_reads_as_depth_first() {
+        let (key, artifacts) = sample(false);
+        let mut bytes = encode(&key, &artifacts);
+        assert_eq!(
+            u32::from_le_bytes(bytes[ENGINE_AT..ENGINE_AT + 4].try_into().unwrap()),
+            0,
+            "depth-first writes tag 0"
+        );
+        // Entries written while the parallel schedule was its own engine
+        // carry tag 1; they must stay warm, not be quarantined.
+        bytes[ENGINE_AT..ENGINE_AT + 4].copy_from_slice(&1u32.to_le_bytes());
+        reseal(&mut bytes);
+        let (decoded_key, decoded) = decode(&bytes).unwrap();
+        assert_eq!(decoded_key, key);
+        assert_eq!(decoded, artifacts);
+        assert_eq!(decoded.exploration.engine(), Engine::DepthFirst);
     }
 
     #[test]

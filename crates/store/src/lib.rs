@@ -145,9 +145,9 @@ pub trait ArtifactStore: Send + Sync + fmt::Debug {
 /// the stripped trace they claim to describe (and every profile must
 /// agree with them — the only recompute-free gate a profiles-only entry
 /// can offer), and when the BCAT/MRCT tree is present it must pass
-/// `cachedse-check`'s ground-truth checkers ([`check_artifacts`]) — the
-/// same gate the serve tier's `--validate` mode applies to in-memory
-/// cache entries.
+/// `cachedse-check`'s ground-truth checkers ([`check_artifacts`]). The
+/// serve tier's opt-in `--validate` mode adds a full profile recompute on
+/// top of this gate.
 ///
 /// # Errors
 ///

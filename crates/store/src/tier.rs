@@ -398,30 +398,21 @@ mod tests {
         let (trace, key) = key_of(5);
         let full = TraceArtifacts::build(&trace, key.max_index_bits).unwrap();
         assert!(full.tree.is_some());
-        for engine in [
-            Engine::Streamed,
-            Engine::DepthFirst,
-            Engine::DepthFirstParallel,
-        ] {
-            let lean = TraceArtifacts::build_with(&trace, key.max_index_bits, engine, None, false)
-                .unwrap();
-            assert!(
-                lean.tree.is_none(),
-                "{engine} should not materialize the tree"
-            );
-            for budget in [MissBudget::Absolute(0), MissBudget::FractionOfMax(0.10)] {
+        for engine in [Engine::Streamed, Engine::DepthFirst] {
+            for threads in [None, std::num::NonZeroUsize::new(2)] {
+                let lean = TraceArtifacts::build_with(&trace, key.max_index_bits, engine, threads)
+                    .unwrap();
+                assert!(
+                    lean.tree.is_none(),
+                    "{engine} should not materialize the tree"
+                );
                 assert_eq!(
-                    lean.exploration.result(budget).unwrap(),
-                    full.exploration.result(budget).unwrap(),
-                    "{engine}"
+                    lean.exploration.profiles(),
+                    full.exploration.profiles(),
+                    "{engine}, threads {threads:?}"
                 );
             }
         }
-        // validate-style builds retain the tree whatever the engine.
-        let validated =
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::DepthFirst, None, true)
-                .unwrap();
-        assert!(validated.tree.is_some());
     }
 
     #[test]

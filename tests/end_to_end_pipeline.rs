@@ -64,7 +64,8 @@ fn parallel_engine_full_pipeline() {
         .explore(MissBudget::FractionOfMax(0.10))
         .expect("non-empty");
     let parallel = DesignSpaceExplorer::new(&run.data)
-        .engine(Engine::DepthFirstParallel)
+        .engine(Engine::DepthFirst)
+        .threads(std::num::NonZeroUsize::new(2).expect("nonzero"))
         .explore(MissBudget::FractionOfMax(0.10))
         .expect("non-empty");
     assert_eq!(serial, parallel);

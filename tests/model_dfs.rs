@@ -1,6 +1,6 @@
-//! Model exploration of the parallel depth-first engine's work split.
+//! Model exploration of the depth-first engine's parallel work split.
 //!
-//! The parallel engine parks subtraces on a shared LPT-sorted work list
+//! With `threads ≥ 2` the depth-first engine parks subtraces on a shared LPT-sorted work list
 //! and lets scoped workers claim them through an atomic cursor; its whole
 //! correctness claim is that the result is byte-identical to the serial
 //! engine on **every** interleaving. Under `--cfg cachedse_model` the
@@ -36,7 +36,7 @@ fn two_worker_split_matches_serial_on_every_schedule() {
         },
         || {
             let threads = std::num::NonZeroUsize::new(2);
-            let parallel = prepare_stripped(&stripped, None, Engine::DepthFirstParallel, threads)
+            let parallel = prepare_stripped(&stripped, None, Engine::DepthFirst, threads)
                 .expect("non-empty trace explores");
             let budget = MissBudget::FractionOfMax(0.10);
             assert_eq!(

@@ -4,13 +4,15 @@
 //! inside the header, mid-arena, inside the trailing checksum — is
 //! rejected with a structured error, quarantined, and transparently
 //! rebuilt by the next job. No torn file is ever served, and no torn file
-//! ever panics the decoder.
+//! ever panics the decoder. An entry that decodes cleanly but carries
+//! wrong profiles is caught by a `--validate` service on its warm load.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cachedse_core::MissBudget;
-use cachedse_serve::{Found, JobSpec, PatternSpec, Service, ServiceConfig, TraceSource};
+use cachedse_check::{inject_profiles, FaultKind};
+use cachedse_core::{Exploration, MissBudget};
+use cachedse_serve::{Found, JobError, JobSpec, PatternSpec, Service, ServiceConfig, TraceSource};
 use cachedse_store::{ArtifactKey, ArtifactStore, DiskStore, StoreError, TraceArtifacts};
 use cachedse_trace::generate;
 
@@ -162,5 +164,63 @@ fn corrupted_entry_is_detected_and_rebuilt_by_the_next_job() {
     let id = third.submit(job("warm", 0)).unwrap();
     let (_, outcome) = third.wait(id);
     assert_eq!(outcome.unwrap().cache, Found::Warm);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A profiles-only entry skewed on disk keeps its totals, so it passes the
+/// store's stats gate; a validating service must still re-check the warm
+/// load, evict it from memory and store, and fail the job.
+#[test]
+fn validating_service_rejects_a_skewed_warm_entry() {
+    let dir = tmp_dir("skew");
+
+    let first = Service::start(config(&dir));
+    let id = first.submit(job("seed", 0)).unwrap();
+    let digest = first.wait(id).1.unwrap().digest;
+    drop(first);
+
+    let store = DiskStore::open(&dir).unwrap();
+    let key = store.keys_for(digest)[0];
+    let stored = store.load(&key).unwrap().expect("entry persisted");
+    assert!(
+        stored.tree.is_none(),
+        "the default engine stores profiles only"
+    );
+    let mut profiles = stored.exploration.profiles().to_vec();
+    assert!(inject_profiles(&mut profiles, FaultKind::StreamedCountSkew));
+    let exploration = Exploration::from_parts(
+        profiles,
+        stored.exploration.stats(),
+        stored.exploration.engine(),
+    )
+    .unwrap();
+    store
+        .save(
+            &key,
+            &TraceArtifacts {
+                exploration,
+                ..stored
+            },
+        )
+        .unwrap();
+    drop(store);
+
+    let validating = Service::start(ServiceConfig {
+        validate: true,
+        ..config(&dir)
+    });
+    let spec = JobSpec {
+        trace: TraceSource::Digest(digest),
+        ..job("skewed", 0)
+    };
+    let id = validating.submit(spec).unwrap();
+    let err = validating.wait(id).1.unwrap_err();
+    assert!(matches!(err, JobError::ArtifactCorrupt(_)), "{err:?}");
+    assert!(
+        validating.cache().keys_for(digest).is_empty(),
+        "the skewed entry must be gone from memory and store"
+    );
+    let stats = validating.shutdown();
+    assert_eq!(stats.validations, 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
