@@ -320,27 +320,6 @@ impl DenseBitSet {
         out
     }
 
-    /// The packed membership words (bit `i` of word `w` encodes value
-    /// `w * 64 + i`) — the inverse of [`from_words`](Self::from_words).
-    /// Trailing zero words, if any, are included as stored.
-    ///
-    /// This is the serialization path: the artifact store spills whole
-    /// membership columns as machine words rather than one value at a time.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cachedse_bitset::DenseBitSet;
-    ///
-    /// let s = DenseBitSet::from_words(vec![0b1001, 1]);
-    /// assert_eq!(s.as_words(), &[0b1001, 1]);
-    /// assert_eq!(DenseBitSet::from_words(s.as_words().to_vec()), s);
-    /// ```
-    #[must_use]
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Iterates over the values of the set in ascending order.
     ///
     /// # Examples

@@ -72,34 +72,6 @@ pub struct CheckOptions {
     pub inject_fault: Option<FaultKind>,
 }
 
-/// Verifies a set of *already-built* artifacts against their stripped
-/// trace: zero/one-set complementarity, BCAT partition soundness, and MRCT
-/// well-formedness. The frontier family is left empty — no exploration is
-/// run here.
-///
-/// This is the validation hook of the batch service's artifact cache
-/// (`cachedse-serve` with `--validate`): before a cached BCAT/MRCT is
-/// reused for a new budget query, the service can re-certify it from the
-/// outside, so a corrupted cache entry surfaces as a structured violation
-/// report instead of a silently wrong frontier.
-#[must_use]
-pub fn check_artifacts(
-    zo: &ZeroOneSets,
-    bcat_snapshot: &BcatSnapshot,
-    mrct_snapshot: &MrctSnapshot,
-    stripped: &StrippedTrace,
-) -> CheckReport {
-    CheckReport {
-        zero_one: check_zero_one(zo, stripped),
-        bcat: check_bcat(bcat_snapshot, stripped),
-        mrct: check_mrct(mrct_snapshot, stripped),
-        frontier: Vec::new(),
-        engine: Vec::new(),
-        profiles: Vec::new(),
-        model: Vec::new(),
-    }
-}
-
 /// Runs the full pipeline on `trace` and verifies every artifact: zero/one
 /// sets, BCAT, MRCT, engine agreement (depth-first serial and parallel vs
 /// the tree+table reference), streamed-vs-materialized postlude identity,
@@ -128,29 +100,23 @@ pub fn check_pipeline(
 
     let mut bcat_snapshot = BcatSnapshot::of(&bcat);
     let mut mrct_snapshot = MrctSnapshot::of(&mrct);
-    if let Some(kind) = options.inject_fault {
-        match kind.target() {
-            fault::FaultTarget::Bcat => {
-                inject_bcat(&mut bcat_snapshot, kind);
-            }
-            fault::FaultTarget::Mrct => {
-                inject_mrct(&mut mrct_snapshot, kind);
-            }
-            // Profile faults are applied to the streamed profiles below.
-            fault::FaultTarget::Profiles => {}
-        }
-    }
-
-    let mut report = check_artifacts(&zo, &bcat_snapshot, &mrct_snapshot, &stripped);
-    report.engine = check_engines(&stripped, max_bits);
-
     let mut fused = cachedse_core::streamed::level_profiles(&stripped, max_bits);
     if let Some(kind) = options.inject_fault {
-        if kind.target() == fault::FaultTarget::Profiles {
-            inject_profiles(&mut fused, kind);
-        }
+        match kind.target() {
+            fault::FaultTarget::Bcat => inject_bcat(&mut bcat_snapshot, kind),
+            fault::FaultTarget::Mrct => inject_mrct(&mut mrct_snapshot, kind),
+            fault::FaultTarget::Profiles => inject_profiles(&mut fused, kind),
+        };
     }
-    report.profiles = check_profiles(&fused, &stripped, max_bits);
+    let mut report = CheckReport {
+        zero_one: check_zero_one(&zo, &stripped),
+        bcat: check_bcat(&bcat_snapshot, &stripped),
+        mrct: check_mrct(&mrct_snapshot, &stripped),
+        frontier: Vec::new(),
+        engine: check_engines(&stripped, max_bits),
+        profiles: check_profiles(&fused, &stripped, max_bits),
+        model: Vec::new(),
+    };
 
     let mut explorer = DesignSpaceExplorer::new(trace);
     if let Some(bits) = options.max_index_bits {

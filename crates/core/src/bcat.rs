@@ -519,122 +519,6 @@ impl Bcat {
         self.arena.len()
     }
 
-    /// The permutation arena as a flat word slice: per level, the member
-    /// ids of that level's nodes in node order. Together with
-    /// [`packed_nodes`](Self::packed_nodes) and
-    /// [`level_offsets`](Self::level_offsets) this is the tree's entire
-    /// state — what the persistent artifact store spills to disk.
-    #[must_use]
-    pub fn arena(&self) -> &[u32] {
-        &self.arena
-    }
-
-    /// The node records packed six `u32`s per node, in node order:
-    /// `offset, len, level, row, left, right` (children are node indices,
-    /// `u32::MAX` for none). The inverse of [`from_flat`](Self::from_flat).
-    #[must_use]
-    pub fn packed_nodes(&self) -> Vec<u32> {
-        let mut packed = Vec::with_capacity(self.nodes.len() * 6);
-        for n in &self.nodes {
-            packed.extend_from_slice(&[n.offset, n.len, n.level, n.row, n.left, n.right]);
-        }
-        packed
-    }
-
-    /// The CSR level offsets into the node array (level `l` owns nodes
-    /// `level_offsets()[l] .. level_offsets()[l + 1]`).
-    #[must_use]
-    pub fn level_offsets(&self) -> &[u32] {
-        &self.level_nodes
-    }
-
-    /// Reassembles a tree from the flat representation of
-    /// [`arena`](Self::arena) / [`packed_nodes`](Self::packed_nodes) /
-    /// [`level_offsets`](Self::level_offsets). A reassembled tree is `==`
-    /// to the original.
-    ///
-    /// Only *structural* soundness is re-established here — every range,
-    /// child index, and level offset is bounds-checked so no accessor can
-    /// panic on loaded (untrusted) bytes. Semantic soundness (each level
-    /// partitions the references, rows match the address bits) is
-    /// `cachedse-check`'s job; the artifact store runs `check_artifacts`
-    /// on every load.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural violation.
-    pub fn from_flat(
-        arena: Vec<u32>,
-        packed_nodes: &[u32],
-        level_offsets: Vec<u32>,
-        unique_len: usize,
-    ) -> Result<Self, String> {
-        if !packed_nodes.len().is_multiple_of(6) {
-            return Err(format!(
-                "packed node array length {} is not a multiple of 6",
-                packed_nodes.len()
-            ));
-        }
-        let node_count = packed_nodes.len() / 6;
-        if node_count == 0 {
-            return Err("a BCAT has at least its root node".to_owned());
-        }
-        let levels = match level_offsets.len().checked_sub(1) {
-            Some(l) if level_offsets.first() == Some(&0) => l,
-            _ => return Err("level offsets must start at 0".to_owned()),
-        };
-        if level_offsets.last().copied() != Some(node_count as u32) {
-            return Err(format!(
-                "level offsets end at {:?}, node count is {node_count}",
-                level_offsets.last()
-            ));
-        }
-        if level_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("level offsets are not monotone".to_owned());
-        }
-        let mut nodes = Vec::with_capacity(node_count);
-        for (i, chunk) in packed_nodes.chunks_exact(6).enumerate() {
-            let &[offset, len, level, row, left, right] = chunk else {
-                unreachable!("chunks_exact(6) yields 6-element chunks");
-            };
-            let end = (offset as usize).checked_add(len as usize);
-            if end.is_none_or(|end| end > arena.len()) {
-                return Err(format!(
-                    "node {i} range {offset}+{len} exceeds arena length {}",
-                    arena.len()
-                ));
-            }
-            if level as usize >= levels || level > 31 {
-                return Err(format!("node {i} level {level} outside {levels} levels"));
-            }
-            if row >= 1u32 << level {
-                return Err(format!("node {i} row {row} outside level {level}"));
-            }
-            for child in [left, right] {
-                if child != NO_CHILD && child as usize >= node_count {
-                    return Err(format!("node {i} child {child} of {node_count} nodes"));
-                }
-            }
-            nodes.push(RawNode {
-                offset,
-                len,
-                level,
-                row,
-                left,
-                right,
-            });
-        }
-        if arena.iter().any(|&id| id as usize >= unique_len) {
-            return Err(format!("arena names a reference beyond {unique_len}"));
-        }
-        Ok(Self {
-            arena,
-            nodes,
-            level_nodes: level_offsets,
-            unique_len,
-        })
-    }
-
     /// Resolves a node handle.
     ///
     /// # Panics

@@ -228,40 +228,6 @@ pub struct Exploration {
 }
 
 impl Exploration {
-    /// Builds an exploration from prebuilt, *borrowed* artifacts: a BCAT and
-    /// an MRCT the caller already owns (e.g. out of the `cachedse-serve`
-    /// artifact cache). Nothing is recomputed except the per-depth postlude
-    /// walk itself, so N budget queries against one trace cost one prelude
-    /// plus N cheap frontier walks.
-    ///
-    /// The resulting exploration reports [`Engine::TreeTable`], since that
-    /// is the algorithm whose artifacts it consumed.
-    ///
-    /// # Errors
-    ///
-    /// * [`ExploreError::EmptyTrace`] — the stripped trace has no
-    ///   references;
-    /// * [`ExploreError::IndexBitsTooLarge`] — more than 31 index bits
-    ///   requested.
-    pub fn from_artifacts(
-        bcat: &Bcat,
-        mrct: &Mrct,
-        stripped: &StrippedTrace,
-        max_index_bits: u32,
-    ) -> Result<Self, ExploreError> {
-        if stripped.is_empty() {
-            return Err(ExploreError::EmptyTrace);
-        }
-        if max_index_bits > 31 {
-            return Err(ExploreError::IndexBitsTooLarge(max_index_bits));
-        }
-        Ok(Self {
-            profiles: postlude::level_profiles(bcat, mrct, stripped, max_index_bits),
-            stats: TraceStats::of_stripped(stripped),
-            engine: Engine::TreeTable,
-        })
-    }
-
     /// Reassembles an exploration from already-computed per-depth
     /// profiles plus the trace statistics — the path the persistent
     /// artifact store takes on a warm start, where the profiles come off
@@ -695,17 +661,18 @@ mod tests {
         let trace = generate::working_set_phases(3, 400, 32, 11);
         let stripped = StrippedTrace::from_trace(&trace);
         let max_bits = stripped.address_bits();
-        let bcat = Bcat::from_stripped(&stripped, max_bits);
-        let mrct = Mrct::build(&stripped);
 
         let owning = DesignSpaceExplorer::new(&trace).prepare().unwrap();
         let via_stripped = prepare_stripped(&stripped, None, Engine::default(), None).unwrap();
-        let via_artifacts = Exploration::from_artifacts(&bcat, &mrct, &stripped, max_bits).unwrap();
+        let via_tables =
+            prepare_stripped(&stripped, Some(max_bits), Engine::TreeTable, None).unwrap();
+        assert_eq!(via_tables.engine(), Engine::TreeTable);
+        assert_eq!(via_tables.profiles(), owning.profiles());
 
         for budget in [MissBudget::Absolute(0), MissBudget::FractionOfMax(0.10)] {
             let a = owning.result(budget).unwrap();
             let b = via_stripped.result(budget).unwrap();
-            let c = via_artifacts.result(budget).unwrap();
+            let c = via_tables.result(budget).unwrap();
             assert_eq!(a, b);
             assert_eq!(a, c);
         }
@@ -723,10 +690,12 @@ mod tests {
             prepare_stripped(&stripped, Some(32), Engine::default(), None).unwrap_err(),
             ExploreError::IndexBitsTooLarge(32)
         );
-        let bcat = Bcat::from_stripped(&stripped, 4);
-        let mrct = Mrct::build(&stripped);
         assert_eq!(
-            Exploration::from_artifacts(&bcat, &mrct, &stripped, 32).unwrap_err(),
+            prepare_stripped(&empty, None, Engine::TreeTable, None).unwrap_err(),
+            ExploreError::EmptyTrace
+        );
+        assert_eq!(
+            prepare_stripped(&stripped, Some(32), Engine::TreeTable, None).unwrap_err(),
             ExploreError::IndexBitsTooLarge(32)
         );
     }

@@ -500,62 +500,6 @@ impl Mrct {
         }
     }
 
-    /// The table's flat CSR arenas: `(ids, set_bounds, ref_sets)` — all
-    /// conflict-set members, the per-set bounds into them, and the per
-    /// reference set ranges. This is the table's entire state, in the
-    /// order [`from_flat`](Self::from_flat) consumes; what the persistent
-    /// artifact store spills to disk.
-    #[must_use]
-    pub fn flat_parts(&self) -> (&[u32], &[u32], &[u32]) {
-        (&self.ids, &self.set_bounds, &self.ref_sets)
-    }
-
-    /// Reassembles a table from the flat arenas of
-    /// [`flat_parts`](Self::flat_parts). A reassembled table is `==` to
-    /// the original.
-    ///
-    /// Only *structural* CSR soundness is re-established (both bound
-    /// arrays monotone, anchored at 0, ending at the owned array's length;
-    /// members in range) so no accessor can panic on loaded (untrusted)
-    /// bytes. Semantic soundness — that the sets are the paper's reuse
-    /// windows — is `cachedse-check`'s job; the artifact store runs
-    /// `check_artifacts` on every load.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural violation.
-    pub fn from_flat(
-        ids: Vec<u32>,
-        set_bounds: Vec<u32>,
-        ref_sets: Vec<u32>,
-    ) -> Result<Self, String> {
-        for (name, bounds, end) in [
-            ("set_bounds", &set_bounds, ids.len()),
-            ("ref_sets", &ref_sets, set_bounds.len().saturating_sub(1)),
-        ] {
-            if bounds.first() != Some(&0) {
-                return Err(format!("{name} must start at 0"));
-            }
-            if bounds.last().map(|&b| b as usize) != Some(end) {
-                return Err(format!("{name} must end at {end}, got {:?}", bounds.last()));
-            }
-            if bounds.windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("{name} is not monotone"));
-            }
-        }
-        let unique_len = ref_sets.len() - 1;
-        if ids.iter().any(|&id| id as usize >= unique_len) {
-            return Err(format!(
-                "a conflict set names a reference beyond {unique_len}"
-            ));
-        }
-        Ok(Self {
-            ids,
-            set_bounds,
-            ref_sets,
-        })
-    }
-
     /// Number of unique references covered.
     #[must_use]
     pub fn unique_len(&self) -> usize {

@@ -17,9 +17,9 @@
 //! Fenwick sizing pass of `Mrct::build` disappears entirely (nothing needs
 //! pre-reserved ranges), and each member is touched **once** instead of
 //! once per active level. The materialized pair stays intact as the
-//! differential oracle and the artifact-store representation; byte-identity
-//! of the two paths is enforced by `tests/postlude_differential.rs` and the
-//! `cachedse-check` `profile-divergence` invariant.
+//! differential oracle; byte-identity of the two paths is enforced by
+//! `tests/postlude_differential.rs` and the `cachedse-check`
+//! `profile-divergence` invariant.
 //!
 //! Why recency order is irrelevant: the postlude only ever computes the
 //! *cardinality* `d = |S ∩ C|` of each set against each row — a sum of

@@ -59,50 +59,6 @@ impl ZeroOneSets {
                 rest &= rest - 1;
             }
         }
-        Self::assemble(n, one_words)
-    }
-
-    /// Reassembles the sets from the packed `O_i` membership columns — the
-    /// representation the persistent artifact store spills to disk. Each
-    /// `Z_i` is recomputed as the word-wise complement under the `N'`-bit
-    /// validity mask, exactly as [`from_stripped`](Self::from_stripped)
-    /// builds it, so a reassembled value is `==` to the original. The
-    /// column for bit `i` is `one_words[i]`; `bits()` becomes
-    /// `one_words.len()`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural violation: a column
-    /// with the wrong word count, or a membership bit at or above
-    /// `unique_len` (loaded bytes are untrusted and must never panic
-    /// downstream).
-    pub fn from_one_words(unique_len: usize, one_words: Vec<Vec<u64>>) -> Result<Self, String> {
-        let words = unique_len.div_ceil(64);
-        let tail_mask = match unique_len % 64 {
-            0 => u64::MAX,
-            tail => (1u64 << tail) - 1,
-        };
-        for (bit, column) in one_words.iter().enumerate() {
-            if column.len() != words {
-                return Err(format!(
-                    "O_{bit} holds {} words; {unique_len} references need {words}",
-                    column.len()
-                ));
-            }
-            if let Some(last) = column.last() {
-                if last & !tail_mask != 0 {
-                    return Err(format!(
-                        "O_{bit} has members at or above unique length {unique_len}"
-                    ));
-                }
-            }
-        }
-        Ok(Self::assemble(unique_len, one_words))
-    }
-
-    /// Builds the `(Z_i, O_i)` pairs from validated `O_i` columns.
-    fn assemble(n: usize, one_words: Vec<Vec<u64>>) -> Self {
-        let words = n.div_ceil(64);
         let tail_mask = match n % 64 {
             0 => u64::MAX,
             tail => (1u64 << tail) - 1,

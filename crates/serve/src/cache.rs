@@ -2,14 +2,12 @@
 //! [`cachedse_store`], where it moved when the persistence tier landed
 //! (DESIGN.md §15).
 //!
-//! Every budget-independent structure of the analytical pipeline — the
-//! stripped trace, the zero/one sets, the BCAT, the MRCT, and the
-//! per-depth miss profiles they induce — depends only on the trace
-//! content and the index-bit cap. The cache keys a bundle of all five by
-//! the FNV-1a [`TraceDigest`](cachedse_trace::digest::TraceDigest) of
-//! the canonical trace (folded with the bit cap), so N jobs that query N
-//! budgets against one trace cost **one** analysis plus N cheap frontier
-//! walks. With a backing [`ArtifactStore`](cachedse_store::ArtifactStore)
+//! The stripped trace and its per-depth miss profiles depend only on the
+//! trace content and the index-bit cap, and every budget query is
+//! answered from them alone. The cache keys that bundle by the FNV-1a
+//! [`TraceDigest`](cachedse_trace::digest::TraceDigest) of the canonical
+//! trace (folded with the bit cap), so N jobs that query N budgets
+//! against one trace cost **one** analysis plus N cheap frontier walks. With a backing [`ArtifactStore`](cachedse_store::ArtifactStore)
 //! attached (`--store-dir`), the bundle also survives a restart: the
 //! first repeat-trace job on a fresh process warm-loads from disk
 //! instead of re-analyzing.
@@ -17,4 +15,4 @@
 //! This module keeps the crate's original import paths working; new code
 //! can depend on `cachedse-store` directly.
 
-pub use cachedse_store::{ArtifactCache, ArtifactKey, Found, TraceArtifacts, TreeArtifacts};
+pub use cachedse_store::{ArtifactCache, ArtifactKey, Found, TraceArtifacts};

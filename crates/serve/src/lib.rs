@@ -1,14 +1,14 @@
 //! Batch design-space-exploration service for the analytical cache model.
 //!
-//! One trace analysis answers *every* budget: the stripped trace, zero/one
-//! sets, BCAT, MRCT, and per-depth miss profiles of Ghosh & Givargis (DATE
-//! 2003) are all budget-independent, and a budget query is then a cheap
-//! frontier walk. This crate exploits that split at service scale: jobs
-//! (trace source × miss budget × knobs) run on a fixed worker pool, and a
-//! content-addressed [`ArtifactCache`] — keyed by the FNV-1a digest of the
-//! canonical trace — shares the expensive artifacts across every job that
-//! analyzes the same trace. N budgets against one trace cost one analysis
-//! plus N frontier walks.
+//! One trace analysis answers *every* budget: the per-depth miss profiles
+//! of Ghosh & Givargis (DATE 2003) are budget-independent, and a budget
+//! query is then a cheap frontier walk over them. This crate exploits
+//! that split at service scale: jobs (trace source × miss budget × knobs)
+//! run on a fixed worker pool, and a content-addressed [`ArtifactCache`]
+//! — keyed by the FNV-1a digest of the canonical trace — shares the
+//! stripped trace and its profiles across every job that analyzes the
+//! same trace. N budgets against one trace cost one analysis plus N
+//! frontier walks.
 //!
 //! Three surfaces, all speaking the same JSONL job codec ([`job`]):
 //!
@@ -62,7 +62,7 @@ pub mod net;
 pub mod service;
 
 pub use batch::{run_batch, BatchSummary};
-pub use cache::{ArtifactCache, ArtifactKey, Found, TraceArtifacts, TreeArtifacts};
+pub use cache::{ArtifactCache, ArtifactKey, Found, TraceArtifacts};
 pub use job::{
     outcome_json, JobError, JobOutcome, JobOutput, JobSpec, PatternSpec, SpecError, TraceSide,
     TraceSource,

@@ -92,8 +92,8 @@ impl HistogramSnapshot {
 pub enum Stage {
     /// Loading or generating the trace named by the job spec.
     Load,
-    /// Building the shared artifacts (strip, zero/one, BCAT, MRCT,
-    /// postlude) — charged only to cache misses.
+    /// Building the shared artifacts (strip, then the configured engine's
+    /// per-depth profiles) — charged only to cache misses.
     Analyze,
     /// Resolving one budget against the cached profiles.
     Frontier,

@@ -295,8 +295,9 @@ impl ShardStore {
             .ok_or_else(|| StoreError::Corrupt(format!("peer {peer}: reply lacks artifact")))?;
         let bytes = from_hex(hex)
             .ok_or_else(|| StoreError::Corrupt(format!("peer {peer}: artifact is not hex")))?;
-        // A peer is untrusted input like any disk file: full checksum +
-        // `check_artifacts` gate before anything is served from it.
+        // A peer is untrusted input like any disk file: the codec's
+        // checksum and structural gates plus the stats gate before
+        // anything is served from it.
         cachedse_store::decode_validated(key, &bytes).map(Some)
     }
 }
@@ -566,8 +567,9 @@ fn handle_peer_op(op: &str, value: &Value, service: &Service, shard: &Shard) -> 
             let Some(bytes) = from_hex(hex) else {
                 return JobError::BadSpec("artifact is not hex".to_owned()).to_json("request");
             };
-            // Same trust boundary as a disk load: checksum, then the full
-            // `check_artifacts` gate, before the bundle may be served.
+            // Same trust boundary as a disk load: the codec's checksum and
+            // structural gates, then the stats gate, before the bundle may
+            // be served.
             match codec::decode(&bytes).and_then(|(key, artifacts)| {
                 cachedse_store::validate_loaded(&artifacts).map(|()| (key, artifacts))
             }) {

@@ -2,13 +2,13 @@
 //!
 //! Moved here from `cachedse-serve` so both the serve tier and the
 //! persistence tiers speak the same types; `cachedse_serve::cache`
-//! re-exports them unchanged. Every budget-independent structure of the
-//! analytical pipeline — the stripped trace, the zero/one sets, the
-//! BCAT, the MRCT, and the per-depth miss profiles they induce — depends
-//! only on the trace content and the index-bit cap, so one
-//! [`TraceArtifacts`] answers every budget query against its trace.
+//! re-exports them unchanged. The stripped trace and the per-depth miss
+//! profiles depend only on the trace content and the index-bit cap, so
+//! one [`TraceArtifacts`] answers every budget query against its trace.
+//! The BCAT and MRCT are intermediates on the way to the profiles: no
+//! bundle keeps them, whichever engine built it.
 
-use cachedse_core::{prepare_stripped, Bcat, Engine, ExploreError, Mrct, ZeroOneSets};
+use cachedse_core::{prepare_stripped, Engine, ExploreError};
 use cachedse_trace::digest::{Fnv1a, TraceDigest};
 use cachedse_trace::strip::StrippedTrace;
 use cachedse_trace::Trace;
@@ -43,24 +43,6 @@ impl ArtifactKey {
     }
 }
 
-/// The materialized tree/table structures of the paper's Algorithms 1–2,
-/// retained only by the tree-table engine, which builds them anyway. Both
-/// tables are flat-arena backed: the
-/// BCAT's node sets are ranges of its permutation arena (DESIGN.md §13) and
-/// the MRCT is a CSR arena (§12), so a cached entry holds a handful of
-/// contiguous buffers rather than per-node allocations — which is also
-/// exactly what makes the bundle spillable to disk (§15).
-#[derive(Debug, PartialEq, Eq)]
-pub struct TreeArtifacts {
-    /// Per-address-bit zero/one sets (Table 3).
-    pub zero_one: ZeroOneSets,
-    /// The binary cache allocation tree (Algorithm 1), owning its
-    /// permutation arena.
-    pub bcat: Bcat,
-    /// The memory reference conflict table (Algorithm 2).
-    pub mrct: Mrct,
-}
-
 /// The shared, budget-independent artifacts of one analyzed trace.
 ///
 /// All engines produce byte-identical [`Exploration`]s (the workspace
@@ -72,29 +54,31 @@ pub struct TreeArtifacts {
 pub struct TraceArtifacts {
     /// The stripped trace (unique references + id sequence).
     pub stripped: StrippedTrace,
-    /// The materialized BCAT/MRCT structures, when retained.
-    pub tree: Option<TreeArtifacts>,
+    /// Always `None`: no bundle carries a BCAT/MRCT tree, and the
+    /// uninhabited type keeps any code from populating it. The field
+    /// survives only because the benchmark harness builds this struct
+    /// with a literal; the next change to that harness deletes it.
+    pub tree: Option<std::convert::Infallible>,
     /// The per-depth miss profiles, queryable under any budget.
     pub exploration: cachedse_core::Exploration,
 }
 
 impl TraceArtifacts {
-    /// Runs the full tree+table prelude + postlude once for `trace`,
-    /// retaining the materialized structures.
+    /// Analyzes `trace` with the default engine: shorthand for
+    /// [`build_with`](Self::build_with) with [`Engine::default`] and no
+    /// worker pin.
     ///
     /// # Errors
     ///
     /// Propagates [`ExploreError`] (empty trace, oversized index cap).
     pub fn build(trace: &Trace, max_index_bits: u32) -> Result<Self, ExploreError> {
-        Self::build_with(trace, max_index_bits, Engine::TreeTable, None)
+        Self::build_with(trace, max_index_bits, Engine::default(), None)
     }
 
-    /// Analyzes `trace` with `engine`. Only [`Engine::TreeTable`]
-    /// materializes (and keeps) the BCAT/MRCT; the other engines go
-    /// through [`prepare_stripped`](cachedse_core::prepare_stripped) and
-    /// allocate nothing beyond their scratch state, with `threads ≥ 2`
-    /// selecting their parallel implementation. Every combination answers
-    /// byte-identical profiles.
+    /// Strips `trace` and analyzes it with `engine` through
+    /// [`prepare_stripped`], `threads ≥ 2` selecting the engine's
+    /// parallel implementation. Every combination answers byte-identical
+    /// profiles, and the bundle keeps only those and the stripped trace.
     ///
     /// # Errors
     ///
@@ -106,39 +90,12 @@ impl TraceArtifacts {
         threads: Option<std::num::NonZeroUsize>,
     ) -> Result<Self, ExploreError> {
         let stripped = StrippedTrace::from_trace(trace);
-        if stripped.is_empty() {
-            return Err(ExploreError::EmptyTrace);
-        }
-        if engine == Engine::TreeTable {
-            let zero_one = ZeroOneSets::from_stripped(&stripped);
-            // The radix builder reads addresses straight off the stripped
-            // trace; the zero/one sets are still materialized for the
-            // store's load gate (`cachedse-check` consumes them).
-            let bcat = Bcat::from_stripped(&stripped, max_index_bits);
-            let mrct = Mrct::build(&stripped);
-            let exploration = cachedse_core::Exploration::from_artifacts(
-                &bcat,
-                &mrct,
-                &stripped,
-                max_index_bits,
-            )?;
-            Ok(Self {
-                stripped,
-                tree: Some(TreeArtifacts {
-                    zero_one,
-                    bcat,
-                    mrct,
-                }),
-                exploration,
-            })
-        } else {
-            let exploration = prepare_stripped(&stripped, Some(max_index_bits), engine, threads)?;
-            Ok(Self {
-                stripped,
-                tree: None,
-                exploration,
-            })
-        }
+        let exploration = prepare_stripped(&stripped, Some(max_index_bits), engine, threads)?;
+        Ok(Self {
+            stripped,
+            tree: None,
+            exploration,
+        })
     }
 }
 

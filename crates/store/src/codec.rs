@@ -1,17 +1,18 @@
 //! The versioned, checksummed on-disk artifact codec (format `CDSEART1`).
 //!
+//! An entry holds the stripped trace and its per-depth miss profiles —
+//! everything a budget query reads — whichever engine built them.
 //! Layout, all integers little-endian:
 //!
 //! ```text
 //! magic            8 bytes   b"CDSEART1"
 //! version          u32       1
 //! digest           u64       FNV-1a trace digest (the key)
-//! max_index_bits   u32       index-bit cap the artifacts were built under
-//! flags            u32       bit 0: BCAT/MRCT/zero-one tree present;
-//!                            bit 1: profiles-only entry (no tree was ever
-//!                            materialized — the streamed fusion path);
-//!                            mutually exclusive, both clear on legacy
-//!                            treeless entries
+//! max_index_bits   u32       index-bit cap the profiles were built under
+//! flags            u32       bit 1 (profiles-only) on every entry written;
+//!                            clear on legacy entries, which decode the same
+//!                            way; bit 0 marked the retired tree-bearing
+//!                            format, which is rejected
 //! address_bits     u32       width of the stripped trace's addresses
 //! stats            3 × u64   total N, unique N', max_misses
 //! engine           u32       0 depth-first, 2 tree-table, 3 streamed
@@ -19,13 +20,8 @@
 //!                            still reads as depth-first)
 //! unique           len + u32[]   unique addresses in identifier order
 //! ids              len + u32[]   the access order as identifiers
-//! profiles         len, then per profile:
+//! profiles         len (= max_index_bits + 1), then per profile:
 //!                    depth u32, cold u64, accesses u64, histogram len + u64[]
-//! tree (if flag)   bits u32, then per bit one O_i column of
-//!                    ceil(N'/64) raw u64 words (Z_i is recomputed as the
-//!                    complement on load, exactly as the builder derives it);
-//!                  bcat arena, packed nodes, level offsets (each len + u32[]);
-//!                  mrct ids, set bounds, ref sets     (each len + u32[])
 //! checksum         u64       FNV-1a over every preceding byte
 //! ```
 //!
@@ -33,33 +29,31 @@
 //! against the bytes actually remaining **before** any allocation, so a
 //! header that lies about a length is rejected instead of triggering a
 //! huge reservation. The trailing checksum catches truncation and bit
-//! rot; everything after it decodes through the flat-parts constructors
-//! (`StrippedTrace::from_parts`, `ZeroOneSets::from_one_words`,
-//! `Bcat::from_flat`, `Mrct::from_flat`, `Exploration::from_parts`),
-//! which re-establish every structural invariant the in-memory accessors
-//! assume — untrusted bytes can surface only as [`StoreError::Corrupt`],
-//! never as a panic.
+//! rot; everything after it decodes through `StrippedTrace::from_parts`
+//! and `Exploration::from_parts`, which re-establish every structural
+//! invariant the in-memory accessors assume — untrusted bytes can surface
+//! only as [`StoreError::Corrupt`], never as a panic.
 
-use cachedse_core::{Bcat, Engine, Exploration, Mrct, ZeroOneSets};
+use cachedse_core::{Engine, Exploration};
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::digest::{Fnv1a, TraceDigest};
 use cachedse_trace::stats::TraceStats;
 use cachedse_trace::strip::{RefId, StrippedTrace};
 use cachedse_trace::Address;
 
-use crate::{ArtifactKey, StoreError, TraceArtifacts, TreeArtifacts};
+use crate::{ArtifactKey, StoreError, TraceArtifacts};
 
 /// The 8-byte format magic.
 pub const MAGIC: [u8; 8] = *b"CDSEART1";
 /// The current format version.
 pub const VERSION: u32 = 1;
-/// Flag bit 0: the BCAT/MRCT/zero-one tree is present.
-const FLAG_TREE: u32 = 1;
-/// Flag bit 1: a profiles-only entry — the build (typically the streamed
-/// MRCT→postlude fusion) never materialized a tree, and the entry
-/// deliberately persists just the stripped trace and the per-depth
-/// profiles. Legacy treeless entries carry neither bit and decode the
-/// same way.
+/// Flag bit 0: a tree-bearing entry from an earlier build, which appended
+/// the zero/one sets, BCAT and MRCT after the profiles. Nothing reads that
+/// block any more, so such entries are rejected and rebuilt.
+const RETIRED_TREE_BIT: u32 = 1;
+/// Flag bit 1: a profiles-only entry — the stripped trace and the
+/// per-depth profiles, the only format written. Legacy entries carry
+/// neither bit and decode the same way.
 const FLAG_PROFILES_ONLY: u32 = 1 << 1;
 /// Smallest possible entry: magic + version + trailing checksum.
 const MIN_LEN: usize = MAGIC.len() + 4 + 8;
@@ -95,12 +89,7 @@ pub fn encode(key: &ArtifactKey, artifacts: &TraceArtifacts) -> Vec<u8> {
     put_u32(&mut buf, VERSION);
     put_u64(&mut buf, key.digest.raw());
     put_u32(&mut buf, key.max_index_bits);
-    let flags = if artifacts.tree.is_some() {
-        FLAG_TREE
-    } else {
-        FLAG_PROFILES_ONLY
-    };
-    put_u32(&mut buf, flags);
+    put_u32(&mut buf, FLAG_PROFILES_ONLY);
     put_u32(&mut buf, stripped.address_bits());
     let stats = artifacts.exploration.stats();
     put_u64(&mut buf, stats.total as u64);
@@ -118,26 +107,6 @@ pub fn encode(key: &ArtifactKey, artifacts: &TraceArtifacts) -> Vec<u8> {
         put_u64(&mut buf, profile.cold());
         put_u64(&mut buf, profile.accesses());
         put_u64_array(&mut buf, profile.histogram());
-    }
-    if let Some(tree) = &artifacts.tree {
-        let words = stripped.unique_len().div_ceil(64);
-        put_u32(&mut buf, tree.zero_one.bits());
-        for bit in 0..tree.zero_one.bits() {
-            // A column's backing words never exceed the membership range
-            // here (the builder sizes them exactly); pad defensively so
-            // the on-disk word count is always ceil(N'/64).
-            let column = tree.zero_one.one(bit).as_words();
-            for w in 0..words {
-                put_u64(&mut buf, column.get(w).copied().unwrap_or(0));
-            }
-        }
-        put_u32_array(&mut buf, tree.bcat.arena().iter().copied());
-        put_u32_array(&mut buf, tree.bcat.packed_nodes().iter().copied());
-        put_u32_array(&mut buf, tree.bcat.level_offsets().iter().copied());
-        let (ids, set_bounds, ref_sets) = tree.mrct.flat_parts();
-        put_u32_array(&mut buf, ids.iter().copied());
-        put_u32_array(&mut buf, set_bounds.iter().copied());
-        put_u32_array(&mut buf, ref_sets.iter().copied());
     }
     let mut h = Fnv1a::new();
     h.update(&buf);
@@ -238,9 +207,10 @@ impl<'a> Cursor<'a> {
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] naming the first gate the bytes failed:
-/// truncation, bad magic, unsupported version, checksum mismatch, a lying
-/// length prefix, trailing garbage, or a flat-parts constructor
-/// rejection.
+/// truncation, bad magic, unsupported version, checksum mismatch, a
+/// retired or unknown flag, a lying length prefix, a profile count that
+/// disagrees with `max_index_bits`, trailing garbage, or a flat-parts
+/// constructor rejection.
 pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError> {
     if bytes.len() < MIN_LEN {
         return Err(StoreError::Corrupt(format!(
@@ -274,13 +244,13 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
     let digest = TraceDigest::from_raw(c.u64("digest")?);
     let max_index_bits = c.u32("max_index_bits")?;
     let flags = c.u32("flags")?;
-    if flags & !(FLAG_TREE | FLAG_PROFILES_ONLY) != 0 {
-        return Err(StoreError::Corrupt(format!("unknown flag bits {flags:#x}")));
-    }
-    if flags & FLAG_TREE != 0 && flags & FLAG_PROFILES_ONLY != 0 {
+    if flags & RETIRED_TREE_BIT != 0 {
         return Err(StoreError::Corrupt(
-            "contradictory flags: tree-present and profiles-only".into(),
+            "retired tree-bearing entry format (flag bit 0); rebuild it profiles-only".into(),
         ));
+    }
+    if flags & !FLAG_PROFILES_ONLY != 0 {
+        return Err(StoreError::Corrupt(format!("unknown flag bits {flags:#x}")));
     }
     let address_bits = c.u32("address_bits")?;
     let stats = TraceStats {
@@ -306,6 +276,14 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
         StrippedTrace::from_parts(unique, ids, address_bits).map_err(StoreError::Corrupt)?;
 
     let profile_count = c.len_of(4 + 8 + 8 + 8, "profiles")?;
+    // Every engine emits one profile per depth `2^0 ..= 2^max_index_bits`;
+    // any other count would answer with a cut-short (or padded) frontier.
+    let expected = u64::from(max_index_bits) + 1;
+    if profile_count as u64 != expected {
+        return Err(StoreError::Corrupt(format!(
+            "{profile_count} profiles under max_index_bits {max_index_bits}, expected {expected}"
+        )));
+    }
     let mut profiles = Vec::with_capacity(profile_count);
     for i in 0..profile_count {
         let depth = c.u32("profile depth")?;
@@ -322,39 +300,9 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
     let exploration =
         Exploration::from_parts(profiles, stats, engine).map_err(StoreError::Corrupt)?;
 
-    let tree = if flags & FLAG_TREE != 0 {
-        let bits = c.u32("zero/one bit count")?;
-        let words = stripped.unique_len().div_ceil(64);
-        let mut one_words = Vec::new();
-        for _ in 0..bits {
-            let column = (0..words)
-                .map(|_| c.u64("zero/one column"))
-                .collect::<Result<Vec<u64>, _>>()?;
-            one_words.push(column);
-        }
-        let zero_one = ZeroOneSets::from_one_words(stripped.unique_len(), one_words)
-            .map_err(StoreError::Corrupt)?;
-        let arena = c.u32_array("bcat arena")?;
-        let packed = c.u32_array("bcat nodes")?;
-        let level_offsets = c.u32_array("bcat level offsets")?;
-        let bcat = Bcat::from_flat(arena, &packed, level_offsets, stripped.unique_len())
-            .map_err(StoreError::Corrupt)?;
-        let mrct_ids = c.u32_array("mrct ids")?;
-        let set_bounds = c.u32_array("mrct set bounds")?;
-        let ref_sets = c.u32_array("mrct ref sets")?;
-        let mrct = Mrct::from_flat(mrct_ids, set_bounds, ref_sets).map_err(StoreError::Corrupt)?;
-        Some(TreeArtifacts {
-            zero_one,
-            bcat,
-            mrct,
-        })
-    } else {
-        None
-    };
-
     if c.remaining() != 0 {
         return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after the last arena",
+            "{} trailing bytes after the last profile",
             c.remaining()
         )));
     }
@@ -366,7 +314,7 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
         },
         TraceArtifacts {
             stripped,
-            tree,
+            tree: None,
             exploration,
         },
     ))
@@ -377,27 +325,12 @@ mod tests {
     use super::*;
     use cachedse_trace::generate;
 
-    fn sample(with_tree: bool) -> (ArtifactKey, TraceArtifacts) {
+    fn sample(engine: Engine) -> (ArtifactKey, TraceArtifacts) {
         let trace = generate::working_set_phases(2, 150, 32, 9);
         let key = ArtifactKey::of(&trace, trace.address_bits());
-        let artifacts = if with_tree {
-            TraceArtifacts::build(&trace, key.max_index_bits).unwrap()
-        } else {
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::DepthFirst, None)
-                .unwrap()
-        };
+        let artifacts =
+            TraceArtifacts::build_with(&trace, key.max_index_bits, engine, None).unwrap();
         (key, artifacts)
-    }
-
-    #[test]
-    fn round_trips_with_and_without_tree() {
-        for with_tree in [true, false] {
-            let (key, artifacts) = sample(with_tree);
-            let bytes = encode(&key, &artifacts);
-            let (decoded_key, decoded) = decode(&bytes).unwrap();
-            assert_eq!(decoded_key, key);
-            assert_eq!(decoded, artifacts, "with_tree={with_tree}");
-        }
     }
 
     /// Byte offset of the `flags` field: magic + version + digest +
@@ -413,24 +346,22 @@ mod tests {
     }
 
     #[test]
-    fn profiles_only_entries_round_trip_and_carry_the_flag() {
-        let trace = generate::working_set_phases(2, 150, 32, 9);
-        let key = ArtifactKey::of(&trace, trace.address_bits());
-        let artifacts =
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed, None).unwrap();
-        assert!(artifacts.tree.is_none());
-        let bytes = encode(&key, &artifacts);
-        let flags = u32::from_le_bytes(bytes[FLAGS_AT..FLAGS_AT + 4].try_into().unwrap());
-        assert_eq!(flags, FLAG_PROFILES_ONLY);
-        let (decoded_key, decoded) = decode(&bytes).unwrap();
-        assert_eq!(decoded_key, key);
-        assert_eq!(decoded, artifacts);
-        assert_eq!(decoded.exploration.engine(), Engine::Streamed);
+    fn every_engine_round_trips_as_a_profiles_only_entry() {
+        for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+            let (key, artifacts) = sample(engine);
+            let bytes = encode(&key, &artifacts);
+            let flags = u32::from_le_bytes(bytes[FLAGS_AT..FLAGS_AT + 4].try_into().unwrap());
+            assert_eq!(flags, FLAG_PROFILES_ONLY, "{engine}");
+            let (decoded_key, decoded) = decode(&bytes).unwrap();
+            assert_eq!(decoded_key, key);
+            assert_eq!(decoded, artifacts, "{engine}");
+            assert_eq!(decoded.exploration.engine(), engine);
+        }
     }
 
     #[test]
     fn legacy_treeless_entries_without_the_flag_still_decode() {
-        let (key, artifacts) = sample(false);
+        let (key, artifacts) = sample(Engine::default());
         let mut bytes = encode(&key, &artifacts);
         // Entries written before the profiles-only bit existed carry
         // flags = 0; clear the bit and re-seal to reproduce one.
@@ -446,7 +377,7 @@ mod tests {
 
     #[test]
     fn legacy_parallel_engine_tag_reads_as_depth_first() {
-        let (key, artifacts) = sample(false);
+        let (key, artifacts) = sample(Engine::DepthFirst);
         let mut bytes = encode(&key, &artifacts);
         assert_eq!(
             u32::from_le_bytes(bytes[ENGINE_AT..ENGINE_AT + 4].try_into().unwrap()),
@@ -464,21 +395,76 @@ mod tests {
     }
 
     #[test]
-    fn contradictory_flag_bits_are_rejected() {
-        let (key, artifacts) = sample(true);
-        let mut bytes = encode(&key, &artifacts);
-        let both = FLAG_TREE | FLAG_PROFILES_ONLY;
-        bytes[FLAGS_AT..FLAGS_AT + 4].copy_from_slice(&both.to_le_bytes());
-        reseal(&mut bytes);
-        let err = decode(&bytes).unwrap_err().to_string();
-        assert!(err.contains("contradictory"), "{err}");
+    fn retired_tree_bit_and_unknown_flags_are_rejected() {
+        let (key, artifacts) = sample(Engine::default());
+        let bytes = encode(&key, &artifacts);
+        for (flags, named) in [
+            (RETIRED_TREE_BIT, "retired tree-bearing"),
+            (
+                RETIRED_TREE_BIT | FLAG_PROFILES_ONLY,
+                "retired tree-bearing",
+            ),
+            (1 << 2, "unknown flag bits"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[FLAGS_AT..FLAGS_AT + 4].copy_from_slice(&flags.to_le_bytes());
+            reseal(&mut bad);
+            let err = decode(&bad).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains(named)),
+                "flags {flags:#x}: {err:?}"
+            );
+        }
+    }
+
+    /// An entry whose profiles were cut short (or padded) under an intact
+    /// checksum would otherwise answer with a frontier missing depths.
+    #[test]
+    fn profile_count_must_match_max_index_bits() {
+        let (key, artifacts) = sample(Engine::default());
+        let profiles = artifacts.exploration.profiles();
+        assert_eq!(profiles.len(), key.max_index_bits as usize + 1);
+        let mut padded = profiles.to_vec();
+        let deepest = profiles.last().unwrap();
+        padded.push(DepthProfile::from_parts(
+            deepest.depth() * 2,
+            deepest.histogram().to_vec(),
+            deepest.cold(),
+            deepest.accesses(),
+        ));
+        for wrong in [profiles[..2].to_vec(), padded] {
+            let count = wrong.len();
+            let exploration = Exploration::from_parts(
+                wrong,
+                artifacts.exploration.stats(),
+                artifacts.exploration.engine(),
+            )
+            .unwrap();
+            let bytes = encode(
+                &key,
+                &TraceArtifacts {
+                    stripped: artifacts.stripped.clone(),
+                    tree: None,
+                    exploration,
+                },
+            );
+            let err = decode(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains("profiles under max_index_bits")),
+                "{count} profiles: {err:?}"
+            );
+            assert!(matches!(
+                crate::decode_validated(&key, &bytes),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
     fn every_truncation_is_rejected_structurally() {
-        let (key, artifacts) = sample(true);
+        let (key, artifacts) = sample(Engine::default());
         let bytes = encode(&key, &artifacts);
-        // Header, mid-arena, and checksum-straddling truncations all
+        // Header, mid-array, and checksum-straddling truncations all
         // surface as Corrupt — never a panic, never a silent success.
         for cut in [0, 3, MIN_LEN - 1, MIN_LEN, bytes.len() / 2, bytes.len() - 1] {
             let err = decode(&bytes[..cut]).unwrap_err();
@@ -491,7 +477,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_rejected() {
-        let (key, artifacts) = sample(true);
+        let (key, artifacts) = sample(Engine::default());
         let bytes = encode(&key, &artifacts);
         // Flip one byte at a spread of offsets: the checksum (or, for
         // flips inside the checksum itself, the recomputation) fires.
@@ -508,7 +494,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_named() {
-        let (key, artifacts) = sample(false);
+        let (key, artifacts) = sample(Engine::default());
         let bytes = encode(&key, &artifacts);
         let mut bad = bytes.clone();
         bad[0] = b'X';
@@ -516,27 +502,19 @@ mod tests {
         // A future version with a valid checksum is still refused.
         let mut future = bytes;
         future[8] = 0xFF;
-        let body_len = future.len() - 8;
-        let mut h = Fnv1a::new();
-        h.update(&future[..body_len]);
-        let sum = h.finish().to_le_bytes();
-        future[body_len..].copy_from_slice(&sum);
+        reseal(&mut future);
         assert!(decode(&future).unwrap_err().to_string().contains("version"));
     }
 
     #[test]
     fn lying_length_prefix_is_rejected_before_allocating() {
-        let (key, artifacts) = sample(false);
+        let (key, artifacts) = sample(Engine::default());
         let mut bytes = encode(&key, &artifacts);
         // The unique-address array length sits right after the fixed
         // header; claim 2^60 elements and re-seal the checksum.
-        let len_at = MAGIC.len() + 4 + 8 + 4 + 4 + 4 + 24 + 4;
+        let len_at = ENGINE_AT + 4;
         bytes[len_at..len_at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let mut h = Fnv1a::new();
-        h.update(&bytes[..body_len]);
-        let sum = h.finish().to_le_bytes();
-        bytes[body_len..].copy_from_slice(&sum);
+        reseal(&mut bytes);
         let err = decode(&bytes).unwrap_err().to_string();
         assert!(err.contains("elements"), "{err}");
     }

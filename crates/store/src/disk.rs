@@ -225,7 +225,7 @@ mod tests {
         let store = DiskStore::open(&dir).unwrap();
         let (key, artifacts) = sample(2);
         store.save(&key, &artifacts).unwrap();
-        // Torn write: chop the file mid-arena.
+        // Torn write: chop the file mid-array.
         let path = store.path_of(&key);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();

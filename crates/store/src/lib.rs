@@ -1,15 +1,14 @@
 //! Persistent content-addressed artifact store (DESIGN.md §15).
 //!
-//! Every budget-independent structure of the analytical pipeline — the
-//! stripped trace, the zero/one sets, the BCAT, the MRCT, and the
-//! per-depth miss profiles — is flat-arena backed, which makes the whole
-//! bundle *spillable*: a handful of contiguous `u32`/`u64` arrays plus a
-//! few scalars round-trip through a versioned, checksummed on-disk codec
-//! ([`codec`]) and reassemble into artifacts that are `==` to the freshly
-//! built originals. Keyed by the FNV-1a [`TraceDigest`] of the canonical
-//! trace (folded with the index-bit cap into an [`ArtifactKey`]), the
-//! store lets a restarted node answer its first repeat-trace job with a
-//! load instead of an analysis.
+//! A budget query reads only the stripped trace and its per-depth miss
+//! profiles, so that is all an entry holds, whichever engine built it: a
+//! handful of contiguous `u32`/`u64` arrays plus a few scalars that
+//! round-trip through a versioned, checksummed on-disk codec ([`codec`])
+//! and reassemble into artifacts `==` to the freshly built originals.
+//! Keyed by the FNV-1a [`TraceDigest`] of the canonical trace (folded with
+//! the index-bit cap into an [`ArtifactKey`]), the store lets a restarted
+//! node answer its first repeat-trace job with a load instead of an
+//! analysis.
 //!
 //! The crate is organized as tiers behind one trait:
 //!
@@ -25,11 +24,11 @@
 //!   peers, so joined nodes agree on which of them owns a trace.
 //!
 //! Loaded bytes are untrusted: the codec bounds-checks every array
-//! against the checksummed payload, the flat-parts constructors
-//! (`StrippedTrace::from_parts`, `Bcat::from_flat`, …) re-establish every
-//! structural invariant, and [`validate_loaded`] re-certifies tree
-//! entries with `cachedse-check`'s external ground-truth checkers before
-//! anything downstream sees them.
+//! against the checksummed payload and requires one profile per depth,
+//! the flat-parts constructors (`StrippedTrace::from_parts`,
+//! `Exploration::from_parts`) re-establish every structural invariant,
+//! and [`validate_loaded`] cross-checks the profiles against the trace
+//! statistics before anything downstream sees them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,13 +42,12 @@ mod memory;
 mod ring;
 mod tier;
 
-pub use artifacts::{ArtifactKey, Found, TraceArtifacts, TreeArtifacts};
+pub use artifacts::{ArtifactKey, Found, TraceArtifacts};
 pub use disk::DiskStore;
 pub use memory::MemoryStore;
 pub use ring::HashRing;
 pub use tier::ArtifactCache;
 
-use cachedse_check::{check_artifacts, BcatSnapshot, MrctSnapshot};
 use cachedse_trace::digest::TraceDigest;
 use cachedse_trace::stats::TraceStats;
 
@@ -57,17 +55,18 @@ use cachedse_trace::stats::TraceStats;
 ///
 /// The distinction matters to callers: `Io` is the environment (retry or
 /// degrade to memory-only), `Corrupt` is bytes that failed the codec's
-/// structural gates (checksum, magic, truncation, malformed arenas — the
-/// entry should be rebuilt), and `Invalid` is bytes that *decoded* but
-/// failed semantic re-certification against the stripped trace (also
-/// rebuild, but worth a louder log: the codec was happy and the artifact
-/// checker was not).
+/// structural gates (checksum, magic, truncation, malformed arrays, a
+/// retired format — the entry should be rebuilt), and `Invalid` is bytes
+/// that *decoded* but disagree with the stripped trace they describe
+/// (also rebuild, but worth a louder log: the codec was happy and the
+/// stats gate was not).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// The underlying filesystem or network operation failed.
     Io(String),
     /// The bytes failed a structural gate: bad magic, unsupported
-    /// version, truncation, checksum mismatch, or a malformed arena.
+    /// version, truncation, checksum mismatch, a retired or unknown flag,
+    /// or a malformed array.
     Corrupt(String),
     /// The bytes decoded but failed semantic validation
     /// ([`validate_loaded`]).
@@ -140,14 +139,11 @@ pub trait ArtifactStore: Send + Sync + fmt::Debug {
     fn stored_bytes(&self) -> u64;
 }
 
-/// Re-certifies loaded artifacts from the outside before anything
-/// downstream trusts them: the exploration's trace statistics must match
-/// the stripped trace they claim to describe (and every profile must
-/// agree with them — the only recompute-free gate a profiles-only entry
-/// can offer), and when the BCAT/MRCT tree is present it must pass
-/// `cachedse-check`'s ground-truth checkers ([`check_artifacts`]). The
-/// serve tier's opt-in `--validate` mode adds a full profile recompute on
-/// top of this gate.
+/// Cross-checks loaded artifacts before anything downstream trusts them:
+/// the exploration's trace statistics must match the stripped trace they
+/// claim to describe, and every profile must agree with them — the
+/// recompute-free gate. The serve tier's opt-in `--validate` mode adds a
+/// full profile recompute on top of it.
 ///
 /// # Errors
 ///
@@ -168,19 +164,6 @@ pub fn validate_loaded(artifacts: &TraceArtifacts) -> Result<(), StoreError> {
             return Err(StoreError::Invalid(format!(
                 "depth-{} profile disagrees with the trace statistics",
                 profile.depth()
-            )));
-        }
-    }
-    if let Some(tree) = &artifacts.tree {
-        let report = check_artifacts(
-            &tree.zero_one,
-            &BcatSnapshot::of(&tree.bcat),
-            &MrctSnapshot::of(&tree.mrct),
-            &artifacts.stripped,
-        );
-        if !report.is_clean() {
-            return Err(StoreError::Invalid(format!(
-                "loaded BCAT/MRCT failed re-certification: {report}"
             )));
         }
     }

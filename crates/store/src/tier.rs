@@ -394,21 +394,21 @@ mod tests {
     }
 
     #[test]
-    fn engineless_build_matches_tree_table() {
+    fn every_engine_builds_the_same_bundle() {
         let (trace, key) = key_of(5);
-        let full = TraceArtifacts::build(&trace, key.max_index_bits).unwrap();
-        assert!(full.tree.is_some());
+        let tables =
+            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::TreeTable, None)
+                .unwrap();
+        let default = TraceArtifacts::build(&trace, key.max_index_bits).unwrap();
+        assert_eq!(default.exploration.engine(), Engine::default());
         for engine in [Engine::Streamed, Engine::DepthFirst] {
             for threads in [None, std::num::NonZeroUsize::new(2)] {
-                let lean = TraceArtifacts::build_with(&trace, key.max_index_bits, engine, threads)
+                let built = TraceArtifacts::build_with(&trace, key.max_index_bits, engine, threads)
                     .unwrap();
-                assert!(
-                    lean.tree.is_none(),
-                    "{engine} should not materialize the tree"
-                );
+                assert_eq!(built.stripped, tables.stripped);
                 assert_eq!(
-                    lean.exploration.profiles(),
-                    full.exploration.profiles(),
+                    built.exploration.profiles(),
+                    tables.exploration.profiles(),
                     "{engine}, threads {threads:?}"
                 );
             }

@@ -6,6 +6,8 @@
 //! rebuilt by the next job. No torn file is ever served, and no torn file
 //! ever panics the decoder. An entry that decodes cleanly but carries
 //! wrong profiles is caught by a `--validate` service on its warm load.
+//! A tree-bearing entry left by an earlier build is quarantined and
+//! rebuilt the same way.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,8 +15,8 @@ use std::sync::Arc;
 use cachedse_check::{inject_profiles, FaultKind};
 use cachedse_core::{Exploration, MissBudget};
 use cachedse_serve::{Found, JobError, JobSpec, PatternSpec, Service, ServiceConfig, TraceSource};
-use cachedse_store::{ArtifactKey, ArtifactStore, DiskStore, StoreError, TraceArtifacts};
-use cachedse_trace::generate;
+use cachedse_store::{codec, ArtifactKey, ArtifactStore, DiskStore, StoreError, TraceArtifacts};
+use cachedse_trace::{generate, paper_running_example};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cachedse-recovery-{tag}-{}", std::process::id()));
@@ -182,10 +184,6 @@ fn validating_service_rejects_a_skewed_warm_entry() {
     let store = DiskStore::open(&dir).unwrap();
     let key = store.keys_for(digest)[0];
     let stored = store.load(&key).unwrap().expect("entry persisted");
-    assert!(
-        stored.tree.is_none(),
-        "the default engine stores profiles only"
-    );
     let mut profiles = stored.exploration.profiles().to_vec();
     assert!(inject_profiles(&mut profiles, FaultKind::StreamedCountSkew));
     let exploration = Exploration::from_parts(
@@ -222,5 +220,72 @@ fn validating_service_rejects_a_skewed_warm_entry() {
     );
     let stats = validating.shutdown();
     assert_eq!(stats.validations, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What an earlier build wrote for the paper's running example under the
+/// tree-table engine: flag bit 0 set, and the zero/one sets, BCAT and MRCT
+/// appended after the profiles. That format is retired.
+const LEGACY_TREE_ENTRY: &[u8] = include_bytes!("fixtures/legacy_tree_entry.cdse");
+
+/// Byte offset of the codec's `flags` word: magic, version, digest, bits.
+const FLAGS_AT: usize = 8 + 4 + 8 + 4;
+
+/// A tree-bearing entry is refused under the retired format's name,
+/// quarantined by the disk store, and rebuilt by the next job as a
+/// profiles-only entry that a restarted node then warm-starts from.
+#[test]
+fn legacy_tree_entry_is_quarantined_and_rebuilt_profiles_only() {
+    let trace = paper_running_example();
+    let key = ArtifactKey::of(&trace, trace.address_bits());
+    let err = codec::decode(LEGACY_TREE_ENTRY).unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Corrupt(m) if m.contains("retired tree-bearing")),
+        "{err:?}"
+    );
+
+    let dir = tmp_dir("legacy-tree");
+    let path = DiskStore::open(&dir).unwrap().path_of(&key);
+    std::fs::write(&path, LEGACY_TREE_ENTRY).unwrap();
+    let store = DiskStore::open(&dir).unwrap();
+    assert_eq!(store.keys_for(key.digest), vec![key], "indexed by its name");
+    let err = store.load(&key).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    assert!(path.with_extension("bad").exists(), "not quarantined");
+    drop(store);
+
+    let din = std::env::temp_dir().join(format!("cachedse-legacy-{}.din", std::process::id()));
+    cachedse_trace::io::write_din(std::fs::File::create(&din).unwrap(), &trace).unwrap();
+    let spec = |id: &str| JobSpec {
+        trace: TraceSource::File(din.display().to_string()),
+        ..job(id, 0)
+    };
+    let service = Service::start(config(&dir));
+    let id = service.submit(spec("rebuild")).unwrap();
+    let rebuilt = service.wait(id).1.unwrap();
+    assert_eq!(rebuilt.cache, Found::Miss);
+    assert_eq!(rebuilt.digest, key.digest);
+    let _ = service.shutdown();
+
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        u32::from_le_bytes(bytes[FLAGS_AT..FLAGS_AT + 4].try_into().unwrap()),
+        1 << 1,
+        "rebuilt entry is profiles-only"
+    );
+    let (decoded_key, decoded) = codec::decode(&bytes).unwrap();
+    assert_eq!(decoded_key, key);
+    assert_eq!(
+        decoded,
+        TraceArtifacts::build(&trace, key.max_index_bits).unwrap()
+    );
+
+    let restarted = Service::start(config(&dir));
+    let id = restarted.submit(spec("warm")).unwrap();
+    let warm = restarted.wait(id).1.unwrap();
+    assert_eq!(warm.cache, Found::Warm);
+    assert_eq!(warm.result, rebuilt.result);
+    let _ = restarted.shutdown();
+    std::fs::remove_file(&din).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,9 +1,11 @@
 //! Persistence round-trip over every embedded kernel: artifacts written
 //! through the disk store and loaded back by a *fresh* store (a restarted
-//! node) must compare equal to a from-scratch analysis — flat arenas,
-//! trees, profiles, and all. Equality here is structural over every field
-//! the codec persists, so any lossy encoding shows up as a hard `!=`, not
-//! as a subtly different frontier three layers later.
+//! node) must compare equal to a from-scratch analysis — stripped trace,
+//! profiles, and all. Equality here is structural over every field the
+//! codec persists, so any lossy encoding shows up as a hard `!=`, not as a
+//! subtly different frontier three layers later. The entry format is the
+//! same whichever engine built it: only the engine tag and the checksum
+//! may differ.
 
 use std::path::PathBuf;
 
@@ -11,7 +13,8 @@ use cachedse::workloads::{
     adpcm::Adpcm, bcnt::Bcnt, blit::Blit, compress::Compress, crc::Crc, des::Des, engine::Engine,
     fir::Fir, g3fax::G3fax, pocsag::Pocsag, qurt::Qurt, ucbqsort::Ucbqsort, Kernel, KernelRun,
 };
-use cachedse_store::{ArtifactKey, ArtifactStore, DiskStore, TraceArtifacts};
+use cachedse_core::Engine as Analysis;
+use cachedse_store::{codec, ArtifactKey, ArtifactStore, DiskStore, TraceArtifacts};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cachedse-roundtrip-{tag}-{}", std::process::id()));
@@ -97,4 +100,48 @@ fn every_kernel_round_trips_through_a_restarted_disk_store() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Byte offset of the codec's `engine` tag: magic, version, digest, bits,
+/// flags, address bits, and the three stats words precede it.
+const ENGINE_AT: usize = 8 + 4 + 8 + 4 + 4 + 4 + 24;
+
+#[test]
+fn every_engine_writes_the_same_entry_up_to_its_tag() {
+    for run in small_runs() {
+        let bits = run.data.address_bits().min(10);
+        let key = ArtifactKey::of(&run.data, bits);
+        let encode_with = |engine, threads| {
+            let artifacts = TraceArtifacts::build_with(&run.data, bits, engine, threads)
+                .unwrap_or_else(|e| panic!("{}: {engine} build failed: {e}", run.name));
+            codec::encode(&key, &artifacts)
+        };
+        let reference = encode_with(Analysis::Streamed, None);
+        let checksum_at = reference.len() - 8;
+        for (engine, threads) in [
+            (Analysis::DepthFirst, None),
+            (Analysis::DepthFirst, std::num::NonZeroUsize::new(2)),
+            (Analysis::TreeTable, None),
+        ] {
+            let bytes = encode_with(engine, threads);
+            assert_eq!(
+                bytes.len(),
+                reference.len(),
+                "{}: {engine} entry length",
+                run.name
+            );
+            let stray = (0..bytes.len()).find(|&i| {
+                bytes[i] != reference[i]
+                    && !(ENGINE_AT..ENGINE_AT + 4).contains(&i)
+                    && i < checksum_at
+            });
+            assert_eq!(stray, None, "{}: {engine} differs beyond its tag", run.name);
+            assert_ne!(
+                bytes[ENGINE_AT..ENGINE_AT + 4],
+                reference[ENGINE_AT..ENGINE_AT + 4],
+                "{}: {engine} tag",
+                run.name
+            );
+        }
+    }
 }
