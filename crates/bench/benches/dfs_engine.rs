@@ -1,13 +1,14 @@
 //! The §2.4 depth-first engine in isolation: the serial scratch-arena
 //! traversal against the size-aware parallel scheduler at pinned worker
-//! counts, plus the tree+table reference. `perf_report` runs the same
+//! counts, plus the materialized reference
+//! (`postlude::materialized_profiles`). `perf_report` runs the same
 //! comparison over every kernel and records it in `BENCH_dfs.json`.
 
 use std::num::NonZeroUsize;
 
 use cachedse_bench::crit::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use cachedse_core::{dfs, postlude, Bcat, Mrct};
+use cachedse_core::{dfs, postlude};
 use cachedse_trace::strip::StrippedTrace;
 use cachedse_workloads::{crc::Crc, Kernel};
 
@@ -40,12 +41,7 @@ fn bench_dfs_engine(c: &mut Criterion) {
         );
     }
     group.bench_function("tree_table", |b| {
-        b.iter(|| {
-            let stripped = std::hint::black_box(&stripped);
-            let bcat = Bcat::from_stripped(stripped, bits);
-            let mrct = Mrct::build(stripped);
-            postlude::level_profiles(&bcat, &mrct, stripped, bits)
-        });
+        b.iter(|| postlude::materialized_profiles(std::hint::black_box(&stripped), bits));
     });
     group.finish();
 }

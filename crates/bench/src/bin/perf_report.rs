@@ -3,9 +3,10 @@
 //! Times every prelude phase (`strip`, `bcat`, `mrct`, the fused
 //! `streamed` MRCT→postlude replay), every engine of the §2.4 depth-first
 //! comparison (`depth_first`, `depth_first_parallel_*` and
-//! `streamed_parallel_*` at pinned worker counts, `tree_table`), and the
-//! end-to-end exploration over the benchmark kernels, then writes
-//! `BENCH_dfs.json` at the repo root — schema `cachedse-bench-dfs/v5`,
+//! `streamed_parallel_*` at pinned worker counts), the materialized
+//! reference `postlude::materialized_profiles` (the `tree_table` row), and
+//! the end-to-end exploration over the benchmark kernels, then writes
+//! `BENCH_dfs.json` at the repo root — schema `cachedse-bench-dfs/v6`,
 //! documented in `DESIGN.md` §11.
 //!
 //! ```text
@@ -18,16 +19,15 @@
 //! report is re-parsed with `cachedse-json` and schema-checked before it is
 //! written, so a zero exit status guarantees a well-formed file.
 //!
-//! Each kernel row carries the recorded **pre-rewrite** serial depth-first
-//! median (captured on this workspace immediately before the scratch-arena
-//! engine landed) plus versioned **phase baselines** for the MRCT, BCAT,
-//! and streamed phases: the medians captured immediately before and
-//! immediately after each phase's own rewrite (the output-optimal MRCT
-//! arena, the radix permutation-arena BCAT, and the streamed postlude
-//! fusion respectively), so the trajectory keeps every origin visible.
-//! `--gate` turns the post-rewrite baselines into a regression gate: the
-//! run fails if any measured kernel's MRCT, BCAT, **or** streamed phase is
-//! more than [`GATE_FACTOR`]× its recorded post-rewrite median.
+//! Each kernel row carries one drift **phase baseline** per gated phase
+//! (MRCT, BCAT, streamed): the median recorded immediately after that
+//! phase's own rewrite (the output-optimal MRCT arena, the radix
+//! permutation-arena BCAT, and the streamed postlude fusion respectively)
+//! and the measured median's ratio to it (`DESIGN.md` §11 keeps each
+//! rewrite's before/after record). `--gate` turns the baselines into a
+//! regression gate: the run fails if any measured kernel's MRCT, BCAT,
+//! **or** streamed phase is more than [`GATE_FACTOR`]× its recorded
+//! post-rewrite median.
 //!
 //! When built with the `alloc-track` feature the binary installs the
 //! counting global allocator from `cachedse_bench::alloc_track` and
@@ -69,7 +69,7 @@ use cachedse_trace::Trace;
 static ALLOC: alloc_track::CountingAlloc = alloc_track::CountingAlloc;
 
 /// Schema tag of the emitted report.
-const SCHEMA: &str = "cachedse-bench-dfs/v5";
+const SCHEMA: &str = "cachedse-bench-dfs/v6";
 
 /// `--gate` fails when a measured MRCT, BCAT, or streamed phase exceeds
 /// its recorded post-rewrite baseline by more than this factor.
@@ -104,98 +104,6 @@ const EFFICIENCY_WORKERS: usize = 4;
 /// deliberately absent so the CI smoke job never trips the floor on
 /// pre-scan-bound traces.
 const EFFICIENCY_GATED_KERNELS: [&str; 3] = ["adpcm.data", "compress.data", "g3fax.data"];
-
-/// Median serial depth-first ns/iter per kernel recorded on this workspace
-/// immediately **before** the scratch-arena rewrite (per-node `Vec` +
-/// `HashMap` engine), same capture parameters and measurement method.
-const PRE_REWRITE_DEPTH_FIRST_NS: [(&str, f64); 24] = [
-    ("adpcm.data", 72_551_730.0),
-    ("adpcm.instr", 180_989_132.0),
-    ("bcnt.data", 52_270_690.0),
-    ("bcnt.instr", 71_009_899.0),
-    ("blit.data", 7_186_187.0),
-    ("blit.instr", 15_691_798.0),
-    ("compress.data", 84_104_049.0),
-    ("compress.instr", 212_449_988.0),
-    ("crc.data", 33_036_685.0),
-    ("crc.instr", 74_769_259.0),
-    ("des.data", 49_890_287.0),
-    ("des.instr", 89_731_499.0),
-    ("engine.data", 30_707_475.0),
-    ("engine.instr", 56_429_021.0),
-    ("fir.data", 215_684_815.0),
-    ("fir.instr", 586_823_076.0),
-    ("g3fax.data", 95_290_439.0),
-    ("g3fax.instr", 198_173_183.0),
-    ("pocsag.data", 10_630_082.0),
-    ("pocsag.instr", 56_832_610.0),
-    ("qurt.data", 4_851_668.0),
-    ("qurt.instr", 47_034_774.0),
-    ("ucbqsort.data", 114_461_291.0),
-    ("ucbqsort.instr", 173_617_308.0),
-];
-
-/// Median `Mrct::build` ns/iter per kernel recorded on this workspace
-/// immediately **before** the output-optimal rewrite (Vec-backed recency
-/// list with `O(N')` removal, per-set boxed slices).
-const PRE_REWRITE_MRCT_NS: [(&str, f64); 24] = [
-    ("adpcm.data", 3_451_262_059.0),
-    ("adpcm.instr", 70_606_200.0),
-    ("bcnt.data", 611_337_521.0),
-    ("bcnt.instr", 19_264_144.0),
-    ("blit.data", 65_197_109.0),
-    ("blit.instr", 3_070_405.0),
-    ("compress.data", 7_144_185_355.0),
-    ("compress.instr", 47_200_522.0),
-    ("crc.data", 1_140_086_140.0),
-    ("crc.instr", 13_002_846.0),
-    ("des.data", 233_947_652.0),
-    ("des.instr", 34_318_036.0),
-    ("engine.data", 20_610_984.0),
-    ("engine.instr", 34_804_500.0),
-    ("fir.data", 564_269_101.0),
-    ("fir.instr", 92_883_169.0),
-    ("g3fax.data", 2_837_057_891.0),
-    ("g3fax.instr", 30_725_990.0),
-    ("pocsag.data", 2_984_317.0),
-    ("pocsag.instr", 11_136_978.0),
-    ("qurt.data", 38_025_893.0),
-    ("qurt.instr", 7_925_637.0),
-    ("ucbqsort.data", 530_406_216.0),
-    ("ucbqsort.instr", 41_552_895.0),
-];
-
-/// Median `Bcat::from_stripped` ns/iter per kernel recorded on this
-/// workspace immediately **before** the radix permutation-arena rewrite
-/// (per-node `DenseBitSet` intersections of the zero/one sets; the v2
-/// report's measured medians, which had drifted up to 1.42× over the older
-/// capture on the big data traces — the regression the rewrite erases).
-const PRE_REWRITE_BCAT_NS: [(&str, f64); 24] = [
-    ("adpcm.data", 158_537_455.0),
-    ("adpcm.instr", 143_139.0),
-    ("bcnt.data", 1_133_434.7),
-    ("bcnt.instr", 116_506.3),
-    ("blit.data", 614_630.7),
-    ("blit.instr", 120_227.0),
-    ("compress.data", 110_088_827.0),
-    ("compress.instr", 135_408.2),
-    ("crc.data", 2_748_289.0),
-    ("crc.instr", 105_059.4),
-    ("des.data", 942_722.0),
-    ("des.instr", 119_370.3),
-    ("engine.data", 109_916.5),
-    ("engine.instr", 113_301.1),
-    ("fir.data", 10_469_635.0),
-    ("fir.instr", 121_079.4),
-    ("g3fax.data", 120_218_358.0),
-    ("g3fax.instr", 121_603.3),
-    ("pocsag.data", 1_596_915.5),
-    ("pocsag.instr", 118_549.8),
-    ("qurt.data", 1_403_488.7),
-    ("qurt.instr", 133_613.2),
-    ("ucbqsort.data", 2_703_244.0),
-    ("ucbqsort.instr", 113_661.2),
-];
 
 /// Median `Mrct::build` ns/iter per kernel recorded immediately **after**
 /// the output-optimal rewrite (Fenwick-sized CSR arena, tombstone recency
@@ -232,38 +140,6 @@ const POST_REWRITE_MRCT_NS: &[(&str, f64)] = &[
     ("qurt.instr", 11_089_533.0),
     ("ucbqsort.data", 78_525_473.0),
     ("ucbqsort.instr", 29_050_719.0),
-];
-
-/// Median materialized profile path (`Bcat::from_stripped` +
-/// `Mrct::build` + `postlude::level_profiles`) ns/iter per kernel,
-/// recorded on this workspace immediately **before** the streamed
-/// postlude fusion landed (the v3 report's `tree_table` engine medians —
-/// the exact pipeline `streamed::level_profiles` replaces).
-const PRE_FUSION_STREAMED_NS: [(&str, f64); 24] = [
-    ("adpcm.data", 4_179_231_502.0),
-    ("adpcm.instr", 82_028_174.0),
-    ("bcnt.data", 553_133_776.0),
-    ("bcnt.instr", 26_003_701.0),
-    ("blit.data", 50_903_773.0),
-    ("blit.instr", 4_892_440.0),
-    ("compress.data", 7_347_514_134.0),
-    ("compress.instr", 88_637_645.0),
-    ("crc.data", 1_289_864_640.0),
-    ("crc.instr", 25_524_619.0),
-    ("des.data", 253_231_257.0),
-    ("des.instr", 56_950_961.0),
-    ("engine.data", 20_124_489.0),
-    ("engine.instr", 49_708_753.0),
-    ("fir.data", 760_830_011.0),
-    ("fir.instr", 156_432_528.0),
-    ("g3fax.data", 3_771_235_393.0),
-    ("g3fax.instr", 56_985_971.0),
-    ("pocsag.data", 7_260_553.0),
-    ("pocsag.instr", 29_036_076.0),
-    ("qurt.data", 37_628_629.0),
-    ("qurt.instr", 20_439_144.0),
-    ("ucbqsort.data", 715_928_110.0),
-    ("ucbqsort.instr", 71_734_696.0),
 ];
 
 /// Median `streamed::level_profiles` ns/iter per kernel recorded
@@ -590,16 +466,8 @@ fn run_report(quick: bool, samples: usize) -> Value {
         if peak_tracked { "on" } else { "off" }
     );
     println!(
-        "{:<16} {:>13} {:>13} {:>13} {:>13} {:>13} {:>13} {:>8} {:>8}",
-        "kernel",
-        "mrct ns",
-        "strm ns",
-        "strm-p4 ns",
-        "dfs ns",
-        "dfs-p4 ns",
-        "tree ns",
-        "vs-tree",
-        "vs-base"
+        "{:<16} {:>13} {:>13} {:>13} {:>13} {:>13} {:>13} {:>8}",
+        "kernel", "mrct ns", "strm ns", "strm-p4 ns", "dfs ns", "dfs-p4 ns", "tree ns", "vs-tree"
     );
 
     let kernels: Vec<Value> = traces
@@ -723,11 +591,7 @@ fn measure_trace(named: &NamedTrace, samples: usize, measure_parallel: bool) -> 
             })
         })
     });
-    let tree_table_ns = measure(samples, || {
-        let bcat = Bcat::from_stripped(&stripped, bits);
-        let mrct = Mrct::build(&stripped);
-        postlude::level_profiles(&bcat, &mrct, &stripped, bits)
-    });
+    let tree_table_ns = measure(samples, || postlude::materialized_profiles(&stripped, bits));
     let end_to_end_ns = measure(samples, || {
         DesignSpaceExplorer::new(trace)
             .max_index_bits(bits)
@@ -761,17 +625,9 @@ fn lookup(table: &[(&str, f64)], label: &str) -> Option<f64> {
         .map(|&(_, ns)| ns)
 }
 
-fn baseline_of(label: &str) -> Option<f64> {
-    lookup(&PRE_REWRITE_DEPTH_FIRST_NS, label)
-}
-
 fn print_row(named: &NamedTrace, row: &TraceRow) {
     let label = named.label();
     let vs_tree = row.tree_table_ns / row.depth_first_ns;
-    let vs_base = baseline_of(&label).map_or_else(
-        || "-".to_owned(),
-        |b| format!("{:.2}x", b / row.depth_first_ns),
-    );
     // The console table shows the 4-worker row of each parallel engine;
     // the JSON carries every pinned worker count.
     let four = PARALLEL_WORKERS
@@ -782,8 +638,7 @@ fn print_row(named: &NamedTrace, row: &TraceRow) {
         ns.map_or_else(|| "-".to_owned(), |ns| format!("{:.0}", ns[four]))
     };
     println!(
-        "{label:<16} {:>13.0} {:>13.0} {:>13} {:>13.0} {:>13} {:>13.0} {vs_tree:>7.2}x \
-         {vs_base:>8}",
+        "{label:<16} {:>13.0} {:>13.0} {:>13} {:>13.0} {:>13} {:>13.0} {vs_tree:>7.2}x",
         row.mrct_ns,
         row.streamed_ns,
         par(row.streamed_parallel_ns),
@@ -793,27 +648,16 @@ fn print_row(named: &NamedTrace, row: &TraceRow) {
     );
 }
 
-/// One phase's versioned baseline entry: the recorded pre- and post-rewrite
-/// medians plus the measured value's relation to each. `Null` when the
-/// kernel has no recorded pre-rewrite number (e.g. future kernels).
-fn phase_baseline_json(
-    label: &str,
-    measured: f64,
-    pre_table: &[(&str, f64)],
-    post_table: &[(&str, f64)],
-) -> Value {
-    let Some(pre) = lookup(pre_table, label) else {
+/// One phase's drift baseline entry: the recorded post-rewrite median and
+/// the measured value's ratio to it. `Null` when the kernel has no
+/// recorded baseline (e.g. future kernels).
+fn phase_baseline_json(label: &str, measured: f64, post_table: &[(&str, f64)]) -> Value {
+    let Some(post) = lookup(post_table, label) else {
         return Value::Null;
     };
-    let post = lookup(post_table, label);
     Value::object([
-        ("pre_rewrite_ns", Value::from(pre)),
-        ("speedup_vs_pre", Value::from(pre / measured)),
-        ("post_rewrite_ns", post.map_or(Value::Null, Value::from)),
-        (
-            "regression_vs_post",
-            post.map_or(Value::Null, |p| Value::from(measured / p)),
-        ),
+        ("post_rewrite_ns", Value::from(post)),
+        ("regression_vs_post", Value::from(measured / post)),
     ])
 }
 
@@ -841,30 +685,10 @@ impl TraceRow {
                     .map(|(workers, ns)| (format!("streamed_parallel_{workers}"), Value::from(ns))),
             ),
         );
-        let baseline = baseline_of(&label).map_or(Value::Null, |ns| {
-            Value::object([
-                ("depth_first_ns", Value::from(ns)),
-                ("speedup", Value::from(ns / self.depth_first_ns)),
-            ])
-        });
-        let mrct_baseline = phase_baseline_json(
-            &label,
-            self.mrct_ns,
-            &PRE_REWRITE_MRCT_NS,
-            POST_REWRITE_MRCT_NS,
-        );
-        let bcat_baseline = phase_baseline_json(
-            &label,
-            self.bcat_ns,
-            &PRE_REWRITE_BCAT_NS,
-            POST_REWRITE_BCAT_NS,
-        );
-        let streamed_baseline = phase_baseline_json(
-            &label,
-            self.streamed_ns,
-            &PRE_FUSION_STREAMED_NS,
-            POST_FUSION_STREAMED_NS,
-        );
+        let mrct_baseline = phase_baseline_json(&label, self.mrct_ns, POST_REWRITE_MRCT_NS);
+        let bcat_baseline = phase_baseline_json(&label, self.bcat_ns, POST_REWRITE_BCAT_NS);
+        let streamed_baseline =
+            phase_baseline_json(&label, self.streamed_ns, POST_FUSION_STREAMED_NS);
         let mut fields = vec![
             ("label", Value::from(label)),
             ("refs", Value::from(self.refs)),
@@ -897,7 +721,6 @@ impl TraceRow {
                 "fused_speedup_vs_materialized",
                 Value::from(self.tree_table_ns / self.streamed_ns),
             ),
-            ("pre_rewrite", baseline),
         ];
         // v5: present exactly when the parallel rows were measured.
         // Efficiency is `serial / (parallel * workers)` — 1.0 is perfect
@@ -1076,14 +899,6 @@ fn validate_report(text: &str) -> Result<usize, String> {
                 ));
             }
         }
-        match kernel.get("pre_rewrite") {
-            Some(Value::Null) | None => {}
-            Some(baseline) => {
-                for field in ["depth_first_ns", "speedup"] {
-                    positive(baseline.get(field), &context(field))?;
-                }
-            }
-        }
         let phase_baselines = kernel
             .get("phase_baselines")
             .ok_or_else(|| format!("kernel {label:?} missing \"phase_baselines\""))?;
@@ -1091,26 +906,8 @@ fn validate_report(text: &str) -> Result<usize, String> {
             match phase_baselines.get(phase) {
                 Some(Value::Null) => {}
                 Some(entry) => {
-                    for field in ["pre_rewrite_ns", "speedup_vs_pre"] {
+                    for field in ["post_rewrite_ns", "regression_vs_post"] {
                         positive(entry.get(field), &context(&format!("{phase}.{field}")))?;
-                    }
-                    // Post-rewrite numbers are nullable (kernels measured
-                    // before the post-rewrite capture), but must be
-                    // positive when present, and must come paired.
-                    let post = entry.get("post_rewrite_ns");
-                    let regression = entry.get("regression_vs_post");
-                    match (post, regression) {
-                        (Some(Value::Null), Some(Value::Null)) => {}
-                        (Some(_), Some(_)) => {
-                            positive(post, &context(&format!("{phase}.post_rewrite_ns")))?;
-                            positive(regression, &context(&format!("{phase}.regression_vs_post")))?;
-                        }
-                        _ => {
-                            return Err(format!(
-                                "kernel {label:?}: {phase} baseline must carry both \
-                                 \"post_rewrite_ns\" and \"regression_vs_post\""
-                            ));
-                        }
                     }
                 }
                 None => {

@@ -6,9 +6,10 @@
 
 use std::fmt::Write as _;
 
-use cachedse_core::{verify, DesignSpaceExplorer, MissBudget};
+use cachedse_core::{postlude, verify, DesignSpaceExplorer, MissBudget};
 use cachedse_sim::explore::ExhaustiveExplorer;
 use cachedse_trace::stats::TraceStats;
+use cachedse_trace::strip::StrippedTrace;
 use cachedse_trace::Trace;
 
 use crate::{linear_fit, stats_row, timed, NamedTrace, BUDGET_FRACTIONS};
@@ -165,13 +166,13 @@ pub fn figure_4_traces() -> Vec<NamedTrace> {
         .collect()
 }
 
-/// Figure 4: execution time of the **as-published** algorithm (BCAT, MRCT,
-/// and Algorithm 3 — the tree+table engine) against `N · N'`, with a
-/// least-squares fit — the paper's claim is that the relationship is "on
-/// the average linear". The depth-first engine of §2.4 is timed alongside:
-/// its cost scales with `N log N` rather than `N · N'`, so its fit against
-/// the product is expected to be poor *because it is faster than the
-/// published bound*.
+/// Figure 4: execution time of the **as-published** algorithm (strip, then
+/// BCAT, MRCT and Algorithm 3 — [`postlude::materialized_profiles`])
+/// against `N · N'`, with a least-squares fit — the paper's claim is that
+/// the relationship is "on the average linear". The depth-first engine of
+/// §2.4 is timed alongside: its cost scales with `N log N` rather than
+/// `N · N'`, so its fit against the product is expected to be poor
+/// *because it is faster than the published bound*.
 #[must_use]
 pub fn figure_4(traces: &[NamedTrace]) -> String {
     let mut out = String::new();
@@ -188,13 +189,8 @@ pub fn figure_4(traces: &[NamedTrace]) -> String {
         let stats = TraceStats::of(&nt.trace);
         let product = stats.total as f64 * stats.unique as f64;
         let bits = explored_bits(&nt.trace);
-        let (_, tree_elapsed) = timed(|| {
-            DesignSpaceExplorer::new(&nt.trace)
-                .max_index_bits(bits)
-                .engine(cachedse_core::Engine::TreeTable)
-                .prepare()
-                .expect("kernel traces are non-empty")
-        });
+        let (_, tree_elapsed) =
+            timed(|| postlude::materialized_profiles(&StrippedTrace::from_trace(&nt.trace), bits));
         let (_, dfs_elapsed) = timed(|| {
             DesignSpaceExplorer::new(&nt.trace)
                 .max_index_bits(bits)

@@ -1,23 +1,24 @@
 //! Engine-agreement checking: every conflict-depth engine must agree.
 //!
+//! Besides the streamed fold (which [`check_profiles`] covers),
 //! `cachedse-core` computes the per-level conflict-depth profiles of §2.4
-//! two ways besides the streamed fold (which [`check_profiles`] covers):
-//! the tree+table reference (`Bcat` + `Mrct` + postlude sweep) and the
-//! scratch-arena depth-first engine, serial or on a worker pool. The whole
-//! point of keeping them byte-identical is that callers (and the batch
-//! service's engine-free cache key) may pick any of them freely. This
-//! checker builds the reference once and runs `Engine::DepthFirst` through
-//! the public [`prepare_stripped`] entry point both serially and with
-//! `threads = 2`, reporting any level where either diverges.
+//! with the scratch-arena depth-first engine, serial or on a worker pool.
+//! The whole point of keeping both engines byte-identical to the paper's
+//! materialized Algorithms 1–3 is that callers (and the batch service's
+//! engine-free cache key) may pick either freely. This checker runs
+//! `Engine::DepthFirst` through the public [`prepare_stripped`] entry point
+//! both serially and with `threads = 2`, reporting any level where either
+//! diverges from the reference its caller built.
 //!
 //! [`check_profiles`]: crate::check_profiles
 
 use std::num::NonZeroUsize;
 
 use cachedse_core::{prepare_stripped, Engine};
+use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::StrippedTrace;
 
-use crate::profiles::{diff_profiles, golden_profiles};
+use crate::profiles::diff_profiles;
 use crate::report::{Invariant, Location, Violation};
 
 /// Worker count pinned for the parallel schedule during checking. Two
@@ -28,10 +29,15 @@ const CHECK_WORKERS: usize = 2;
 
 /// Recomputes the per-level profiles with the depth-first engine, serial
 /// and parallel, and returns one violation per `(schedule, level)`
-/// disagreement with the tree+table reference.
+/// disagreement with `reference` — the
+/// [`postlude::materialized_profiles`](cachedse_core::postlude::materialized_profiles)
+/// of `stripped` at `max_index_bits`.
 #[must_use]
-pub fn check_engines(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Violation> {
-    let golden = golden_profiles(stripped, max_index_bits);
+pub fn check_engines(
+    stripped: &StrippedTrace,
+    max_index_bits: u32,
+    reference: &[DepthProfile],
+) -> Vec<Violation> {
     let schedules = [
         ("depth-first", None),
         ("depth-first, 2 threads", NonZeroUsize::new(CHECK_WORKERS)),
@@ -43,7 +49,7 @@ pub fn check_engines(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Viola
                 Invariant::EngineDivergence,
                 label,
                 exploration.profiles(),
-                &golden,
+                reference,
             )),
             Err(e) => violations.push(Violation::new(
                 Invariant::EngineDivergence,
@@ -58,23 +64,23 @@ pub fn check_engines(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Viola
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachedse_core::postlude;
     use cachedse_trace::{generate, paper_running_example};
 
-    fn stripped(trace: &cachedse_trace::Trace) -> StrippedTrace {
-        StrippedTrace::from_trace(trace)
+    fn engines_agree(trace: &cachedse_trace::Trace) -> bool {
+        let s = StrippedTrace::from_trace(trace);
+        let bits = s.address_bits();
+        check_engines(&s, bits, &postlude::materialized_profiles(&s, bits)).is_empty()
     }
 
     #[test]
     fn paper_example_engines_agree() {
-        let trace = paper_running_example();
-        let s = stripped(&trace);
-        assert!(check_engines(&s, s.address_bits()).is_empty());
+        assert!(engines_agree(&paper_running_example()));
     }
 
     #[test]
     fn workload_engines_agree() {
         let trace = generate::loop_with_excursions(7, 64, 31, 5, 1 << 11, 4);
-        let s = stripped(&trace);
-        assert!(check_engines(&s, s.address_bits()).is_empty());
+        assert!(engines_agree(&trace));
     }
 }

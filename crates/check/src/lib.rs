@@ -46,7 +46,8 @@ pub mod report;
 pub mod zero_one;
 
 use cachedse_core::{
-    Bcat, DesignSpaceExplorer, ExplorationResult, ExploreError, MissBudget, Mrct, ZeroOneSets,
+    postlude, Bcat, DesignSpaceExplorer, ExplorationResult, ExploreError, MissBudget, Mrct,
+    ZeroOneSets,
 };
 use cachedse_trace::strip::StrippedTrace;
 use cachedse_trace::Trace;
@@ -57,7 +58,7 @@ pub use fault::{inject_bcat, inject_mrct, inject_profiles, FaultKind, FaultTarge
 pub use frontier::{check_budget_monotonicity, check_frontier};
 pub use model::{model_report, violation_from_model};
 pub use mrct::{check_mrct, check_mrct_live, MrctSnapshot};
-pub use profiles::{check_profiles, check_streamed, check_streamed_parallel};
+pub use profiles::check_profiles;
 pub use report::{CheckReport, Invariant, Location, Violation};
 pub use zero_one::check_zero_one;
 
@@ -73,10 +74,14 @@ pub struct CheckOptions {
 }
 
 /// Runs the full pipeline on `trace` and verifies every artifact: zero/one
-/// sets, BCAT, MRCT, engine agreement (depth-first serial and parallel vs
-/// the tree+table reference), streamed-vs-materialized postlude identity,
-/// and the frontier at each of `budgets` (plus budget monotonicity across
-/// them).
+/// sets, BCAT, MRCT, engine agreement (the streamed fold, and depth-first
+/// serial and parallel, vs the materialized reference), and the frontier
+/// at each of `budgets` (plus budget monotonicity across them).
+///
+/// The reference — Algorithm 3 over the BCAT and MRCT built here for the
+/// snapshots — is computed once and shared by every engine comparison.
+/// Injected faults corrupt the snapshots (or the streamed profiles), never
+/// these tables, so the reference stays the paper's answer.
 ///
 /// # Errors
 ///
@@ -97,6 +102,7 @@ pub fn check_pipeline(
     let zo = ZeroOneSets::from_stripped(&stripped);
     let bcat = Bcat::build(&zo, max_bits);
     let mrct = Mrct::build(&stripped);
+    let reference = postlude::level_profiles(&bcat, &mrct, &stripped, max_bits);
 
     let mut bcat_snapshot = BcatSnapshot::of(&bcat);
     let mut mrct_snapshot = MrctSnapshot::of(&mrct);
@@ -113,8 +119,13 @@ pub fn check_pipeline(
         bcat: check_bcat(&bcat_snapshot, &stripped),
         mrct: check_mrct(&mrct_snapshot, &stripped),
         frontier: Vec::new(),
-        engine: check_engines(&stripped, max_bits),
-        profiles: check_profiles(&fused, &stripped, max_bits),
+        engine: check_engines(&stripped, max_bits, &reference),
+        profiles: profiles::diff_profiles(
+            Invariant::ProfileDivergence,
+            "candidate",
+            &fused,
+            &reference,
+        ),
         model: Vec::new(),
     };
 

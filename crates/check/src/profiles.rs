@@ -4,30 +4,22 @@
 //! (DESIGN.md §16): conflict sets are folded into the per-level histograms
 //! the moment the recency array produces them, and the CSR arena is never
 //! built. Its soundness claim is *byte-identity* with the paper's published
-//! pipeline — `Mrct::build` followed by `postlude::level_profiles` over a
-//! materialized BCAT. This checker recomputes the profiles both ways from
-//! the stripped trace and reports every level where they disagree, so a
-//! fused-path regression surfaces as a structured
+//! pipeline, `postlude::materialized_profiles` (BCAT, MRCT, Algorithm 3).
+//! [`check_profiles`] diffs a candidate against that reference and reports
+//! every level where they disagree, so a fused-path regression — or a
+//! cache entry serving skewed bytes — surfaces as a structured
 //! [`Invariant::ProfileDivergence`] violation instead of a silently wrong
 //! frontier.
 //!
 //! The level-by-level diff here is the one loop every profile-comparing
 //! checker shares; [`check_engines`](crate::check_engines) runs it against
-//! the same materialized reference under its own invariant.
+//! the same reference under its own invariant.
 
-use cachedse_core::{postlude, streamed, Bcat, Mrct};
+use cachedse_core::postlude;
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::StrippedTrace;
 
 use crate::report::{Invariant, Location, Violation};
-
-/// The reference profiles: a freshly materialized `Mrct::build` + BCAT
-/// postlude run, the paper's published pipeline.
-pub(crate) fn golden_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<DepthProfile> {
-    let bcat = Bcat::from_stripped(stripped, max_index_bits);
-    let mrct = Mrct::build(stripped);
-    postlude::level_profiles(&bcat, &mrct, stripped, max_index_bits)
-}
 
 /// Diffs `candidate` against `golden` level by level: one `invariant`
 /// violation per differing level, or a single global one when the level
@@ -66,71 +58,54 @@ pub(crate) fn diff_profiles(
 }
 
 /// Diffs `candidate` — the streamed fold's output, or the profiles a
-/// cache entry serves — against a freshly materialized `Mrct::build` +
-/// postlude run, level by level.
+/// cache entry serves — against a fresh
+/// [`postlude::materialized_profiles`] run, level by level.
 #[must_use]
 pub fn check_profiles(
     candidate: &[DepthProfile],
     stripped: &StrippedTrace,
     max_index_bits: u32,
 ) -> Vec<Violation> {
-    let golden = golden_profiles(stripped, max_index_bits);
+    let reference = postlude::materialized_profiles(stripped, max_index_bits);
     diff_profiles(
         Invariant::ProfileDivergence,
         "candidate",
         candidate,
-        &golden,
+        &reference,
     )
-}
-
-/// Convenience: recomputes the streamed profiles itself and checks them —
-/// the zero-setup form used by `check_pipeline`.
-#[must_use]
-pub fn check_streamed(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Violation> {
-    let fused = streamed::level_profiles(stripped, max_index_bits);
-    check_profiles(&fused, stripped, max_index_bits)
-}
-
-/// Like [`check_streamed`], but runs the chunked parallel fold
-/// ([`streamed::level_profiles_parallel`]) with the given worker count —
-/// the divergence detector the parallel bench rows and the differential
-/// suite lean on.
-#[must_use]
-pub fn check_streamed_parallel(
-    stripped: &StrippedTrace,
-    max_index_bits: u32,
-    threads: std::num::NonZeroUsize,
-) -> Vec<Violation> {
-    let fused = streamed::level_profiles_parallel(stripped, max_index_bits, threads);
-    check_profiles(&fused, stripped, max_index_bits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachedse_core::streamed;
     use cachedse_trace::{generate, paper_running_example};
 
     #[test]
     fn paper_example_paths_agree() {
         let s = StrippedTrace::from_trace(&paper_running_example());
-        assert!(check_streamed(&s, s.address_bits()).is_empty());
+        let bits = s.address_bits();
+        assert!(check_profiles(&streamed::level_profiles(&s, bits), &s, bits).is_empty());
     }
 
     #[test]
     fn workload_paths_agree() {
         let trace = generate::loop_with_excursions(3, 56, 27, 9, 1 << 11, 6);
         let s = StrippedTrace::from_trace(&trace);
-        assert!(check_streamed(&s, s.address_bits()).is_empty());
+        let bits = s.address_bits();
+        assert!(check_profiles(&streamed::level_profiles(&s, bits), &s, bits).is_empty());
     }
 
     #[test]
     fn parallel_paths_agree() {
         let trace = generate::loop_with_excursions(3, 56, 27, 9, 1 << 11, 6);
         let s = StrippedTrace::from_trace(&trace);
+        let bits = s.address_bits();
         for threads in [1usize, 2, 4, 8] {
             let threads = std::num::NonZeroUsize::new(threads).expect("nonzero");
+            let fused = streamed::level_profiles_parallel(&s, bits, threads);
             assert!(
-                check_streamed_parallel(&s, s.address_bits(), threads).is_empty(),
+                check_profiles(&fused, &s, bits).is_empty(),
                 "threads {threads}"
             );
         }

@@ -56,8 +56,9 @@ pub enum Invariant {
     /// same depth.
     FrontierNonMonotoneBudget,
     /// A conflict-depth engine (depth-first serial or parallel) produced a
-    /// per-level profile different from the tree+table reference; the
-    /// engines are interchangeable only because they are byte-identical.
+    /// per-level profile different from the materialized reference
+    /// (`postlude::materialized_profiles`); the engines are
+    /// interchangeable only because they are byte-identical.
     EngineDivergence,
     /// The streamed MRCT→postlude fusion produced a per-level profile
     /// different from the materialized `Mrct::build` + postlude path; the
@@ -220,11 +221,12 @@ pub struct CheckReport {
     pub mrct: Vec<Violation>,
     /// Frontier minimality and monotonicity violations.
     pub frontier: Vec<Violation>,
-    /// Engine-agreement violations (depth-first engines vs the tree+table
-    /// reference).
+    /// Engine-agreement violations (depth-first engines vs the
+    /// materialized reference).
     pub engine: Vec<Violation>,
     /// Streamed-vs-materialized postlude divergence violations (the fused
-    /// replay against `Mrct::build` + `postlude::level_profiles`).
+    /// replay, or served profiles, against
+    /// `postlude::materialized_profiles`).
     pub profiles: Vec<Violation>,
     /// Concurrency-model violations (deadlock, lost wakeup, data race,
     /// misuse, panic) found by exploring the serve-pool and parallel-engine

@@ -7,7 +7,7 @@
 //! cachedse stats trace.din
 //! cachedse simulate trace.din --depth 64 --assoc 2 [--policy lru] [--line-bits 0]
 //! cachedse explore trace.din (--misses K | --fraction F) [--max-bits B]
-//!                            [--engine streamed|dfs|tree] [--threads N]
+//!                            [--engine streamed|dfs] [--threads N]
 //!                            [--verify] [--format json]
 //! cachedse sweep trace.din [--max-bits B]        # the paper's K-grid table
 //! cachedse check trace.din [--misses K | --fraction F] [--max-bits B]
@@ -18,11 +18,11 @@
 //!                        # dfs-split, and streamed-split scenarios; needs
 //!                        # a build with RUSTFLAGS="--cfg cachedse_model"
 //! cachedse batch [jobs.jsonl] [--workers N] [--queue N] [--cache N]
-//!                [--engine streamed|dfs|tree] [--threads N]
+//!                [--engine streamed|dfs] [--threads N]
 //!                [--timeout-ms MS] [--validate]
 //!                [--store-dir DIR]               # JSONL jobs in, results out
 //! cachedse serve [--bind HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!                [--engine streamed|dfs|tree] [--threads N]
+//!                [--engine streamed|dfs] [--threads N]
 //!                [--timeout-ms MS] [--validate]
 //!                [--store-dir DIR]               # persistent artifact store
 //!                [--join HOST:PORT[,HOST:PORT…]] # enter a shard ring
@@ -246,9 +246,8 @@ fn engine_of(args: &Args) -> Result<Engine, Box<dyn std::error::Error>> {
     match args.opt_str("engine").unwrap_or("streamed") {
         "streamed" => Ok(Engine::Streamed),
         "dfs" => Ok(Engine::DepthFirst),
-        "tree" => Ok(Engine::TreeTable),
         other => Err(format!(
-            "unknown engine {other:?}; expected streamed|dfs|tree \
+            "unknown engine {other:?}; expected streamed|dfs \
              (for parallel depth-first use --engine dfs --threads N)"
         )
         .into()),
@@ -256,7 +255,7 @@ fn engine_of(args: &Args) -> Result<Engine, Box<dyn std::error::Error>> {
 }
 
 /// `--threads N` worker pin: N ≥ 2 runs the `streamed` or `dfs` engine on
-/// N workers; absent or 1 runs it serially (`tree` ignores it).
+/// N workers; absent or 1 runs it serially.
 fn threads_of(args: &Args) -> Result<Option<std::num::NonZeroUsize>, Box<dyn std::error::Error>> {
     match args.opt::<usize>("threads")? {
         None => Ok(None),

@@ -132,6 +132,25 @@ fn explore_paper_example_with_verification() {
     assert!(text.contains("verified 5 configurations"));
 }
 
+/// The materialized Algorithms 1–3 are the reference the engines are
+/// checked against, not an engine: `tree` is an unknown engine name.
+#[test]
+fn retired_tree_engine_is_an_unknown_engine() {
+    let path = write_trace("0 b\n0 c\n0 6\n0 3\n0 b\n0 4\n0 c\n0 3\n0 b\n0 6\n");
+    let out = cachedse(&[
+        "explore",
+        path.to_str().unwrap(),
+        "--misses",
+        "0",
+        "--engine",
+        "tree",
+    ]);
+    assert!(!out.status.success());
+    let message = stderr(&out);
+    assert!(message.contains("unknown engine \"tree\""), "{message}");
+    assert!(message.contains("expected streamed|dfs "), "{message}");
+}
+
 #[test]
 fn explore_requires_a_budget() {
     let path = write_trace("0 1\n");

@@ -51,6 +51,7 @@ use std::cell::RefCell;
 use cachedse_bitset::{DenseBitSet, SliceSet};
 use cachedse_trace::strip::StrippedTrace;
 
+use crate::postlude::address_table;
 use crate::zero_one::ZeroOneSets;
 
 /// "No child" sentinel in the node table; any real node index is smaller.
@@ -232,11 +233,7 @@ impl Bcat {
     /// reading each reference's address with no intermediate sets at all.
     #[must_use]
     pub fn from_stripped(stripped: &StrippedTrace, max_index_bits: u32) -> Self {
-        let addrs: Vec<u32> = stripped
-            .unique_addresses()
-            .iter()
-            .map(|a| a.raw())
-            .collect();
+        let addrs = address_table(stripped);
         Self::build_from_addrs(&addrs, stripped.address_bits(), max_index_bits)
     }
 

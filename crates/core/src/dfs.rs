@@ -47,12 +47,15 @@
 //! single sweep per node: one read of the subtrace feeds the Fenwick
 //! conflict-depth histogram *and* writes both children.
 //!
-//! Output is identical to the tree+table path ([`crate::postlude`]); the
-//! test suite asserts equality.
+//! Output is identical to the materialized reference
+//! ([`crate::postlude::materialized_profiles`]); the test suite asserts
+//! equality.
 
 use cachedse_sim::fenwick::Fenwick;
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::StrippedTrace;
+
+use crate::postlude::{address_table, finalize};
 
 /// Minimum parked-subtrace length before the parallel gather stops
 /// splitting: shorter pieces cost more in scheduling than they recover in
@@ -400,37 +403,9 @@ fn visit(
     }
 }
 
-/// Address bits of every unique reference, indexed by `RefId`.
-fn address_table(stripped: &StrippedTrace) -> Vec<u32> {
-    stripped
-        .unique_addresses()
-        .iter()
-        .map(|a| a.raw())
-        .collect()
-}
-
-/// Folds the per-level tail histograms into [`DepthProfile`]s, recovering
-/// the `d = 0` entries as "everything not otherwise accounted for".
-fn finalize(histograms: Vec<Vec<u64>>, unique: u64, total: u64) -> Vec<DepthProfile> {
-    let non_cold = total - unique;
-    histograms
-        .into_iter()
-        .enumerate()
-        .map(|(level, mut histogram)| {
-            let tail: u64 = histogram.iter().sum();
-            if histogram.is_empty() {
-                histogram.push(non_cold - tail);
-            } else {
-                histogram[0] = non_cold - tail;
-            }
-            DepthProfile::from_parts(1 << level, histogram, unique, total)
-        })
-        .collect()
-}
-
 /// Computes the same per-depth miss profiles as
-/// [`postlude::level_profiles`](crate::postlude::level_profiles), by
-/// depth-first subtrace partitioning with a reusable scratch arena.
+/// [`postlude::materialized_profiles`](crate::postlude::materialized_profiles),
+/// by depth-first subtrace partitioning with a reusable scratch arena.
 ///
 /// # Panics
 ///
@@ -454,7 +429,6 @@ pub fn level_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Dept
         total < u32::MAX as usize,
         "trace too long for u32 sweep positions"
     );
-    let unique = stripped.unique_len() as u64;
 
     let mut histograms: Vec<Vec<u64>> = vec![Vec::new(); max_index_bits as usize + 1];
     let addrs = address_table(stripped);
@@ -479,7 +453,7 @@ pub fn level_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Dept
         &mut histograms,
     );
 
-    finalize(histograms, unique, total as u64)
+    finalize(histograms, stripped)
 }
 
 /// Multi-threaded variant of [`level_profiles`], realizing the paper's
@@ -530,7 +504,6 @@ pub fn level_profiles_parallel(
         total < u32::MAX as usize,
         "trace too long for u32 sweep positions"
     );
-    let unique = stripped.unique_len() as u64;
 
     let mut histograms: Vec<Vec<u64>> = vec![Vec::new(); max_index_bits as usize + 1];
     let addrs = address_table(stripped);
@@ -638,24 +611,19 @@ pub fn level_profiles_parallel(
         }
     }
 
-    finalize(histograms, unique, total as u64)
+    finalize(histograms, stripped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcat::Bcat;
-    use crate::mrct::Mrct;
     use crate::postlude;
     use cachedse_sim::onepass::profile_depths;
     use cachedse_trace::rng::SplitMix64;
     use cachedse_trace::{generate, paper_running_example, Address, Record, Trace};
 
-    fn tree_table(trace: &Trace, bits: u32) -> Vec<DepthProfile> {
-        let stripped = StrippedTrace::from_trace(trace);
-        let bcat = Bcat::from_stripped(&stripped, bits);
-        let mrct = Mrct::build(&stripped);
-        postlude::level_profiles(&bcat, &mrct, &stripped, bits)
+    fn materialized(trace: &Trace, bits: u32) -> Vec<DepthProfile> {
+        postlude::materialized_profiles(&StrippedTrace::from_trace(trace), bits)
     }
 
     fn depth_first(trace: &Trace, bits: u32) -> Vec<DepthProfile> {
@@ -665,7 +633,7 @@ mod tests {
     #[test]
     fn paper_example_equivalence() {
         let trace = paper_running_example();
-        assert_eq!(depth_first(&trace, 4), tree_table(&trace, 4));
+        assert_eq!(depth_first(&trace, 4), materialized(&trace, 4));
         assert_eq!(depth_first(&trace, 4), profile_depths(&trace, 4));
     }
 
@@ -678,13 +646,14 @@ mod tests {
             generate::working_set_phases(5, 200, 30, 41),
         ] {
             let bits = trace.address_bits().min(9);
-            assert_eq!(depth_first(&trace, bits), tree_table(&trace, bits));
+            assert_eq!(depth_first(&trace, bits), materialized(&trace, bits));
         }
     }
 
     /// A trace with more uniques than [`SMALL_SET_MAX`] drives the Fenwick
     /// path at the shallow levels and the small-set path once recursion
-    /// thins the nodes out — both must agree with the reference engine.
+    /// thins the nodes out — both must agree with the materialized
+    /// reference.
     #[test]
     fn large_unique_set_crosses_both_query_paths() {
         let trace = generate::uniform_random(20_000, 3_000, 11);
@@ -694,7 +663,7 @@ mod tests {
             "trace too small to exercise the Fenwick path"
         );
         let bits = trace.address_bits();
-        assert_eq!(depth_first(&trace, bits), tree_table(&trace, bits));
+        assert_eq!(depth_first(&trace, bits), materialized(&trace, bits));
     }
 
     #[test]
@@ -721,7 +690,7 @@ mod tests {
         }
     }
 
-    /// The depth-first engine, the tree+table engine, and one-pass
+    /// The depth-first engine, the materialized reference, and one-pass
     /// simulation agree on arbitrary traces.
     /// Deterministic randomized sweep (formerly a proptest property).
     #[test]
@@ -734,7 +703,7 @@ mod tests {
                 .collect();
             let max_bits = rng.gen_range(0u32..8);
             let dfs = depth_first(&trace, max_bits);
-            assert_eq!(&dfs, &tree_table(&trace, max_bits));
+            assert_eq!(&dfs, &materialized(&trace, max_bits));
             assert_eq!(&dfs, &profile_depths(&trace, max_bits));
         }
     }
@@ -854,7 +823,7 @@ mod tests {
                 &addrs,
                 &mut histograms,
             );
-            let got = finalize(histograms, stripped.unique_len() as u64, total as u64);
+            let got = finalize(histograms, &stripped);
             assert_eq!(got, expected, "round {round}");
         }
         // The full trace has far more than 5 nodes, so the wrap happened.

@@ -9,11 +9,8 @@ use cachedse_trace::stats::TraceStats;
 use cachedse_trace::strip::StrippedTrace;
 use cachedse_trace::Trace;
 
-use crate::bcat::Bcat;
 use crate::dfs;
 use crate::error::ExploreError;
-use crate::mrct::Mrct;
-use crate::postlude;
 use crate::streamed;
 
 /// The designer's miss constraint `K`.
@@ -32,7 +29,10 @@ pub enum MissBudget {
 
 /// Which implementation of the analytical method to run.
 ///
-/// Both fast engines share one scheduling rule: pinning `threads ≥ 2` via
+/// Both engines return exactly the profiles of the paper's Algorithms 1–3
+/// run as published, [`postlude::materialized_profiles`](crate::postlude::materialized_profiles)
+/// — the reference they are checked against, not an engine itself. They
+/// share one scheduling rule: pinning `threads ≥ 2` via
 /// [`DesignSpaceExplorer::threads`] / [`prepare_stripped`] runs that
 /// engine's parallel implementation — same bytes, split across a worker
 /// pool — and the default (no pin, or 1) stays serial so pooled services
@@ -43,8 +43,8 @@ pub enum Engine {
     /// recency-array replay of [`Mrct::build`](crate::Mrct::build) with each
     /// conflict set folded into the per-level histograms the moment it is
     /// produced — `O(unique refs)` memory, no arena, no sizing pass. The
-    /// default for fresh analytical runs; byte-identical to every other
-    /// engine. Its parallel form is the chunked fold of DESIGN.md §17.
+    /// default for fresh analytical runs. Its parallel form is the chunked
+    /// fold of DESIGN.md §17.
     #[default]
     Streamed,
     /// The Section 2.4 combined algorithm: depth-first subtrace partitioning,
@@ -52,12 +52,6 @@ pub enum Engine {
     /// subtrees out over a worker pool — the paper's §2.4 distributed-sets
     /// remark, in threads.
     DepthFirst,
-    /// The paper's Algorithms 1–3 as published: build the BCAT and the MRCT,
-    /// then run the postlude over them. Both tables are flat arenas (the
-    /// BCAT a radix-partitioned permutation of the reference ids, the MRCT
-    /// a CSR buffer), so the extra memory over depth-first is a handful of
-    /// contiguous allocations; kept for fidelity and cross-checking.
-    TreeTable,
 }
 
 impl fmt::Display for Engine {
@@ -65,7 +59,6 @@ impl fmt::Display for Engine {
         match self {
             Self::Streamed => f.write_str("streamed"),
             Self::DepthFirst => f.write_str("depth-first"),
-            Self::TreeTable => f.write_str("tree-table"),
         }
     }
 }
@@ -82,7 +75,7 @@ impl fmt::Display for Engine {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let trace = paper_running_example();
 /// let result = DesignSpaceExplorer::new(&trace)
-///     .engine(Engine::TreeTable)
+///     .engine(Engine::DepthFirst)
 ///     .explore(MissBudget::Absolute(0))?;
 /// // Section 2.3: a depth-2 cache needs 3 ways for zero avoidable misses.
 /// assert_eq!(result.associativity_of(2), Some(3));
@@ -127,9 +120,9 @@ impl<'a> DesignSpaceExplorer<'a> {
 
     /// Pins the worker count: `threads ≥ 2` runs [`Engine::Streamed`] or
     /// [`Engine::DepthFirst`] on that many workers; 1 (or no pin, the
-    /// default) runs them serially. [`Engine::TreeTable`] ignores it. The
-    /// result never depends on this value — only the wall clock does — so
-    /// benchmarks and services can set it for reproducible scheduling.
+    /// default) runs them serially. The result never depends on this value
+    /// — only the wall clock does — so benchmarks and services can set it
+    /// for reproducible scheduling.
     #[must_use]
     pub fn threads(mut self, threads: std::num::NonZeroUsize) -> Self {
         self.threads = Some(threads);
@@ -177,9 +170,8 @@ impl<'a> DesignSpaceExplorer<'a> {
 ///
 /// `threads = Some(n ≥ 2)` runs [`Engine::Streamed`] or
 /// [`Engine::DepthFirst`] on `n` workers; `None` or 1 keeps them serial
-/// (pooled callers already parallelize across traces).
-/// [`Engine::TreeTable`] ignores it. The result never depends on the
-/// worker count.
+/// (pooled callers already parallelize across traces). The result never
+/// depends on the worker count.
 ///
 /// # Errors
 ///
@@ -205,11 +197,6 @@ pub fn prepare_stripped(
         (Engine::Streamed, None) => streamed::level_profiles(stripped, max_bits),
         (Engine::DepthFirst, Some(t)) => dfs::level_profiles_parallel(stripped, max_bits, t),
         (Engine::DepthFirst, None) => dfs::level_profiles(stripped, max_bits),
-        (Engine::TreeTable, _) => {
-            let bcat = Bcat::from_stripped(stripped, max_bits);
-            let mrct = Mrct::build(stripped);
-            postlude::level_profiles(&bcat, &mrct, stripped, max_bits)
-        }
     };
     Ok(Exploration {
         profiles,
@@ -640,20 +627,21 @@ pub fn explore_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postlude;
     use cachedse_trace::{generate, paper_running_example};
 
     #[test]
     fn both_engines_agree() {
         let trace = generate::working_set_phases(4, 300, 40, 3);
-        let a = DesignSpaceExplorer::new(&trace)
-            .engine(Engine::DepthFirst)
-            .explore(MissBudget::Absolute(25))
-            .unwrap();
-        let b = DesignSpaceExplorer::new(&trace)
-            .engine(Engine::TreeTable)
-            .explore(MissBudget::Absolute(25))
-            .unwrap();
-        assert_eq!(a, b);
+        let stripped = StrippedTrace::from_trace(&trace);
+        let reference = postlude::materialized_profiles(&stripped, stripped.address_bits());
+        for engine in [Engine::Streamed, Engine::DepthFirst] {
+            let exploration = DesignSpaceExplorer::new(&trace)
+                .engine(engine)
+                .prepare()
+                .unwrap();
+            assert_eq!(exploration.profiles(), reference, "{engine}");
+        }
     }
 
     #[test]
@@ -664,15 +652,19 @@ mod tests {
 
         let owning = DesignSpaceExplorer::new(&trace).prepare().unwrap();
         let via_stripped = prepare_stripped(&stripped, None, Engine::default(), None).unwrap();
-        let via_tables =
-            prepare_stripped(&stripped, Some(max_bits), Engine::TreeTable, None).unwrap();
-        assert_eq!(via_tables.engine(), Engine::TreeTable);
-        assert_eq!(via_tables.profiles(), owning.profiles());
+        let via_dfs =
+            prepare_stripped(&stripped, Some(max_bits), Engine::DepthFirst, None).unwrap();
+        assert_eq!(via_dfs.engine(), Engine::DepthFirst);
+        assert_eq!(via_dfs.profiles(), owning.profiles());
+        assert_eq!(
+            owning.profiles(),
+            postlude::materialized_profiles(&stripped, max_bits)
+        );
 
         for budget in [MissBudget::Absolute(0), MissBudget::FractionOfMax(0.10)] {
             let a = owning.result(budget).unwrap();
             let b = via_stripped.result(budget).unwrap();
-            let c = via_tables.result(budget).unwrap();
+            let c = via_dfs.result(budget).unwrap();
             assert_eq!(a, b);
             assert_eq!(a, c);
         }
@@ -691,11 +683,11 @@ mod tests {
             ExploreError::IndexBitsTooLarge(32)
         );
         assert_eq!(
-            prepare_stripped(&empty, None, Engine::TreeTable, None).unwrap_err(),
+            prepare_stripped(&empty, None, Engine::DepthFirst, None).unwrap_err(),
             ExploreError::EmptyTrace
         );
         assert_eq!(
-            prepare_stripped(&stripped, Some(32), Engine::TreeTable, None).unwrap_err(),
+            prepare_stripped(&stripped, Some(32), Engine::DepthFirst, None).unwrap_err(),
             ExploreError::IndexBitsTooLarge(32)
         );
     }
@@ -811,7 +803,6 @@ mod tests {
     fn engine_display() {
         assert_eq!(Engine::Streamed.to_string(), "streamed");
         assert_eq!(Engine::DepthFirst.to_string(), "depth-first");
-        assert_eq!(Engine::TreeTable.to_string(), "tree-table");
     }
 
     #[test]
@@ -908,7 +899,7 @@ mod tests {
             generate::working_set_phases(3, 200, 24, 7),
         ];
         let refs: Vec<&Trace> = apps.iter().collect();
-        for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+        for engine in [Engine::Streamed, Engine::DepthFirst] {
             let shared = SharedExploration::prepare(&refs, engine, None).unwrap();
             assert_eq!(shared.explorations().len(), refs.len());
             for budget in [

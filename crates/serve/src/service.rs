@@ -60,9 +60,9 @@ pub struct ServiceConfig {
     pub validate: bool,
     /// The analytical engine workers run. The default streamed engine
     /// fuses the MRCT replay with the postlude and analyzes without
-    /// materializing the BCAT/MRCT (O(N') memory); [`Engine::TreeTable`]
-    /// builds both and drops them once the postlude has run. All engines
-    /// produce identical profiles, and the cache and store keep only
+    /// materializing the BCAT/MRCT (O(N') memory);
+    /// [`Engine::DepthFirst`] partitions the trace depth-first (§2.4).
+    /// Both produce identical profiles, and the cache and store keep only
     /// those.
     pub engine: Engine,
     /// Worker pin for each analysis: `threads ≥ 2` runs the streamed or
@@ -710,7 +710,7 @@ mod tests {
     fn all_engines_answer_identically() {
         let spec = || loop_spec("engines", 40, 2);
         let mut results = Vec::new();
-        for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+        for engine in [Engine::Streamed, Engine::DepthFirst] {
             for threads in [None, std::num::NonZeroUsize::new(2)] {
                 let service = Service::start(ServiceConfig {
                     workers: 1,

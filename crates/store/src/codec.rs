@@ -15,9 +15,10 @@
 //!                            format, which is rejected
 //! address_bits     u32       width of the stripped trace's addresses
 //! stats            3 × u64   total N, unique N', max_misses
-//! engine           u32       0 depth-first, 2 tree-table, 3 streamed
-//!                            (1, the retired parallel depth-first tag,
-//!                            still reads as depth-first)
+//! engine           u32       0 depth-first, 3 streamed (1, the retired
+//!                            parallel depth-first tag, still reads as
+//!                            depth-first; 2, the retired tree-table
+//!                            engine's, is rejected)
 //! unique           len + u32[]   unique addresses in identifier order
 //! ids              len + u32[]   the access order as identifiers
 //! profiles         len (= max_index_bits + 1), then per profile:
@@ -118,7 +119,6 @@ pub fn encode(key: &ArtifactKey, artifacts: &TraceArtifacts) -> Vec<u8> {
 fn engine_code(engine: Engine) -> u32 {
     match engine {
         Engine::DepthFirst => 0,
-        Engine::TreeTable => 2,
         Engine::Streamed => 3,
     }
 }
@@ -128,7 +128,6 @@ fn engine_of(code: u32) -> Result<Engine, StoreError> {
         // 1 tagged the depth-first engine's parallel schedule when it was
         // its own engine; entries written then answer identically.
         0 | 1 => Ok(Engine::DepthFirst),
-        2 => Ok(Engine::TreeTable),
         3 => Ok(Engine::Streamed),
         other => Err(StoreError::Corrupt(format!("unknown engine code {other}"))),
     }
@@ -347,7 +346,7 @@ mod tests {
 
     #[test]
     fn every_engine_round_trips_as_a_profiles_only_entry() {
-        for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+        for engine in [Engine::Streamed, Engine::DepthFirst] {
             let (key, artifacts) = sample(engine);
             let bytes = encode(&key, &artifacts);
             let flags = u32::from_le_bytes(bytes[FLAGS_AT..FLAGS_AT + 4].try_into().unwrap());
@@ -392,6 +391,22 @@ mod tests {
         assert_eq!(decoded_key, key);
         assert_eq!(decoded, artifacts);
         assert_eq!(decoded.exploration.engine(), Engine::DepthFirst);
+    }
+
+    /// Tag 2 named the retired tree-table engine. Such an entry is refused
+    /// like any other unknown engine, so the disk store quarantines it and
+    /// the next job rebuilds it.
+    #[test]
+    fn retired_tree_table_engine_tag_is_rejected() {
+        let (key, artifacts) = sample(Engine::default());
+        let mut bytes = encode(&key, &artifacts);
+        bytes[ENGINE_AT..ENGINE_AT + 4].copy_from_slice(&2u32.to_le_bytes());
+        reseal(&mut bytes);
+        let err = decode(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("unknown engine code 2")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -396,19 +396,18 @@ mod tests {
     #[test]
     fn every_engine_builds_the_same_bundle() {
         let (trace, key) = key_of(5);
-        let tables =
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::TreeTable, None)
-                .unwrap();
         let default = TraceArtifacts::build(&trace, key.max_index_bits).unwrap();
         assert_eq!(default.exploration.engine(), Engine::default());
+        let reference =
+            cachedse_core::postlude::materialized_profiles(&default.stripped, key.max_index_bits);
         for engine in [Engine::Streamed, Engine::DepthFirst] {
             for threads in [None, std::num::NonZeroUsize::new(2)] {
                 let built = TraceArtifacts::build_with(&trace, key.max_index_bits, engine, threads)
                     .unwrap();
-                assert_eq!(built.stripped, tables.stripped);
+                assert_eq!(built.stripped, default.stripped);
                 assert_eq!(
                     built.exploration.profiles(),
-                    tables.exploration.profiles(),
+                    reference,
                     "{engine}, threads {threads:?}"
                 );
             }

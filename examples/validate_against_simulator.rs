@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. End-to-end: both engines return the same optimal set, and every
     //    returned point is minimal under simulation.
-    for engine in [Engine::DepthFirst, Engine::TreeTable] {
+    for engine in [Engine::Streamed, Engine::DepthFirst] {
         let result = DesignSpaceExplorer::new(trace)
             .engine(engine)
             .explore(MissBudget::FractionOfMax(0.10))?;

@@ -76,7 +76,7 @@ fn workload_explorations_verify() {
     for run in &runs {
         for trace in [&run.data, &run.instr] {
             for fraction in [0.05, 0.10, 0.15, 0.20] {
-                for engine in [Engine::Streamed, Engine::DepthFirst, Engine::TreeTable] {
+                for engine in [Engine::Streamed, Engine::DepthFirst] {
                     let result = DesignSpaceExplorer::new(trace)
                         .engine(engine)
                         .explore(MissBudget::FractionOfMax(fraction))

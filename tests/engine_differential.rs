@@ -2,8 +2,9 @@
 //!
 //! The scratch-arena serial engine and the size-aware parallel scheduler
 //! must produce *byte-identical* per-level conflict-depth profiles to the
-//! tree+table reference (`Bcat` + `Mrct` + postlude) — that equality is what
-//! lets the serve cache key stay engine-free. Two corpora exercise it:
+//! materialized reference (`postlude::materialized_profiles`: BCAT, MRCT,
+//! Algorithm 3) — that equality is what lets the serve cache key stay
+//! engine-free. Two corpora exercise it:
 //!
 //! 1. every bundled kernel (both captured sides) at small parameters, and
 //! 2. a seeded SplitMix64 sweep of synthetic traces covering degenerate
@@ -15,7 +16,7 @@
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-use cachedse::core::{dfs, postlude, Bcat, Mrct};
+use cachedse::core::{dfs, postlude};
 use cachedse::sim::onepass::DepthProfile;
 use cachedse::trace::strip::StrippedTrace;
 use cachedse::trace::{Address, Record, Trace};
@@ -60,15 +61,9 @@ fn small_runs() -> Vec<KernelRun> {
     ]
 }
 
-/// Golden profiles from the tree+table pipeline.
-fn tree_table_profiles(stripped: &StrippedTrace, bits: u32) -> Vec<DepthProfile> {
-    let bcat = Bcat::from_stripped(stripped, bits);
-    let mrct = Mrct::build(stripped);
-    postlude::level_profiles(&bcat, &mrct, stripped, bits)
-}
-
-/// One (kernel, trace-kind) oracle: the stripped trace plus its tree+table
-/// golden, built exactly once and shared by every engine-variant test.
+/// One (kernel, trace-kind) oracle: the stripped trace plus its
+/// materialized golden, built exactly once and shared by every
+/// engine-variant test.
 struct OracleCase {
     label: String,
     stripped: StrippedTrace,
@@ -80,7 +75,7 @@ impl OracleCase {
     fn of(label: String, trace: &Trace) -> Self {
         let stripped = StrippedTrace::from_trace(trace);
         let bits = trace.address_bits();
-        let golden = tree_table_profiles(&stripped, bits);
+        let golden = postlude::materialized_profiles(&stripped, bits);
         Self {
             label,
             stripped,
@@ -90,7 +85,7 @@ impl OracleCase {
     }
 }
 
-/// The 24 kernel oracles (12 kernels × data+instr). The tree+table golden
+/// The 24 kernel oracles (12 kernels × data+instr). The materialized golden
 /// is the expensive part of this suite, so it is built once per
 /// (kernel, trace-kind) here and shared across the serial and the
 /// {1, 2, 8}-worker comparisons instead of being rebuilt per engine
@@ -121,19 +116,20 @@ fn assert_engines_match_golden(
     let serial = dfs::level_profiles(stripped, bits);
     assert_eq!(
         serial, golden,
-        "{label}: serial dfs diverged from tree+table"
+        "{label}: serial dfs diverged from the materialized reference"
     );
     for workers in [1usize, 2, 8] {
         let workers = NonZeroUsize::new(workers).expect("nonzero");
         let parallel = dfs::level_profiles_parallel(stripped, bits, workers);
         assert_eq!(
             parallel, golden,
-            "{label}: parallel dfs ({workers} workers) diverged from tree+table"
+            "{label}: parallel dfs ({workers} workers) diverged from the materialized reference"
         );
     }
 }
 
-/// Asserts all three engines agree on `trace`, at every pinned worker count.
+/// Asserts serial and parallel depth-first match the materialized reference
+/// on `trace`, at every pinned worker count.
 fn assert_engines_agree(label: &str, trace: &Trace) {
     let case = OracleCase::of(label.to_owned(), trace);
     assert_engines_match_golden(&case.label, &case.stripped, case.bits, &case.golden);

@@ -108,16 +108,17 @@ fn stats_and_both_engines_agree_on_the_example() {
     let trace = paper_running_example();
     let stats = TraceStats::of(&trace);
     assert_eq!((stats.total, stats.unique), (10, 5));
-    for k in 0..=stats.max_misses {
-        let a = DesignSpaceExplorer::new(&trace)
-            .engine(Engine::DepthFirst)
-            .explore(MissBudget::Absolute(k))
+    let stripped = StrippedTrace::from_trace(&trace);
+    let reference = postlude::materialized_profiles(&stripped, stripped.address_bits());
+    for engine in [Engine::Streamed, Engine::DepthFirst] {
+        let exploration = DesignSpaceExplorer::new(&trace)
+            .engine(engine)
+            .prepare()
             .expect("valid");
-        let b = DesignSpaceExplorer::new(&trace)
-            .engine(Engine::TreeTable)
-            .explore(MissBudget::Absolute(k))
-            .expect("valid");
-        assert_eq!(a, b, "k = {k}");
-        cachedse::core::verify::check_result(&trace, &a).expect("verified");
+        assert_eq!(exploration.profiles(), reference, "{engine}");
+        for k in 0..=stats.max_misses {
+            let result = exploration.result(MissBudget::Absolute(k)).expect("valid");
+            cachedse::core::verify::check_result(&trace, &result).expect("verified");
+        }
     }
 }

@@ -1,35 +1,27 @@
 //! Byte-identity of the streamed postlude fusion (`DESIGN.md` §16): for
 //! every trace and index-bit budget, `streamed::level_profiles` must
-//! return *exactly* the profiles of the materialized pipeline
-//! (`Bcat::from_stripped` → `Mrct::build` → `postlude::level_profiles`)
-//! — same depths, same histograms, byte for byte. The fusion is a pure
-//! evaluation-order change; any divergence is a bug, not drift.
+//! return *exactly* the profiles of the materialized reference,
+//! `postlude::materialized_profiles` (`Bcat::from_stripped` →
+//! `Mrct::build` → Algorithm 3) — same depths, same histograms, byte for
+//! byte. The fusion is a pure evaluation-order change; any divergence is
+//! a bug, not drift.
 //!
 //! Coverage: all 24 paper kernel traces at full size (release-mode CI
-//! job; `#[ignore]`d here because the materialized reference engine takes
+//! job; `#[ignore]`d here because the materialized reference takes
 //! minutes per big data trace without optimizations), scaled-down kernels
 //! for the debug tier, a 96-trace seeded random sweep, and the structural
 //! edge cases (empty trace, single reference, everything on one row,
 //! index budget past the address width).
 
-use cachedse::core::{postlude, streamed, Bcat, Mrct};
-use cachedse::sim::onepass::DepthProfile;
+use cachedse::core::{postlude, streamed};
 use cachedse::trace::rng::SplitMix64;
 use cachedse::trace::strip::StrippedTrace;
 use cachedse::trace::{Address, Record, Trace};
 
-/// The materialized reference: build the full BCAT and MRCT artifacts,
-/// then walk them with the tree+table postlude.
-fn materialized(stripped: &StrippedTrace, max_bits: u32) -> Vec<DepthProfile> {
-    let bcat = Bcat::from_stripped(stripped, max_bits);
-    let mrct = Mrct::build(stripped);
-    postlude::level_profiles(&bcat, &mrct, stripped, max_bits)
-}
-
 fn assert_identical(trace: &Trace, max_bits: u32, what: &str) {
     let stripped = StrippedTrace::from_trace(trace);
     let fused = streamed::level_profiles(&stripped, max_bits);
-    let golden = materialized(&stripped, max_bits);
+    let golden = postlude::materialized_profiles(&stripped, max_bits);
     assert_eq!(
         fused, golden,
         "{what}: streamed diverged from materialized at max_bits {max_bits}"

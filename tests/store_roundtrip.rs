@@ -121,7 +121,6 @@ fn every_engine_writes_the_same_entry_up_to_its_tag() {
         for (engine, threads) in [
             (Analysis::DepthFirst, None),
             (Analysis::DepthFirst, std::num::NonZeroUsize::new(2)),
-            (Analysis::TreeTable, None),
         ] {
             let bytes = encode_with(engine, threads);
             assert_eq!(
