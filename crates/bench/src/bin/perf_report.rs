@@ -5,7 +5,8 @@
 //! comparison (`depth_first`, `depth_first_parallel_*` and
 //! `streamed_parallel_*` at pinned worker counts), the materialized
 //! reference `postlude::materialized_profiles` (the `tree_table` row), and
-//! the end-to-end exploration over the benchmark kernels, then writes
+//! the end-to-end exploration over the benchmark kernels (the default
+//! path: strip, the engine `Engine::Auto` picks, one frontier), then writes
 //! `BENCH_dfs.json` at the repo root — schema `cachedse-bench-dfs/v6`,
 //! documented in `DESIGN.md` §11.
 //!
@@ -27,7 +28,9 @@
 //! rewrite's before/after record). `--gate` turns the baselines into a
 //! regression gate: the run fails if any measured kernel's MRCT, BCAT,
 //! **or** streamed phase is more than [`GATE_FACTOR`]× its recorded
-//! post-rewrite median.
+//! post-rewrite median, and it guards the automatic engine choice: a
+//! kernel fails when its end-to-end time minus its strip exceeds
+//! [`CHOICE_FACTOR`]× the faster pinned engine plus [`CHOICE_SLACK_NS`].
 //!
 //! When built with the `alloc-track` feature the binary installs the
 //! counting global allocator from `cachedse_bench::alloc_track` and
@@ -74,6 +77,15 @@ const SCHEMA: &str = "cachedse-bench-dfs/v6";
 /// `--gate` fails when a measured MRCT, BCAT, or streamed phase exceeds
 /// its recorded post-rewrite baseline by more than this factor.
 const GATE_FACTOR: f64 = 2.0;
+
+/// `--gate` bound on the default path (`end_to_end_ns − strip`) over the
+/// faster pinned engine. On every kernel trace but ucbqsort.instr the
+/// engines are further apart, so a drifted choice rule that flips any
+/// other pick fails.
+const CHOICE_FACTOR: f64 = 1.25;
+
+/// Slack on top of [`CHOICE_FACTOR`] for the sub-millisecond quick kernels.
+const CHOICE_SLACK_NS: f64 = 500_000.0;
 
 /// Floor for the peak-allocation gate: below this, both phases are in
 /// pool-and-page noise and the comparison means nothing.
@@ -268,6 +280,7 @@ fn main() -> ExitCode {
         }
         failures.extend(gate_peaks(&report));
         failures.extend(gate_scaling(&report));
+        failures.extend(gate_engine_choice(&report));
         if !failures.is_empty() {
             eprintln!("perf_report: phase regression gate failed:");
             for f in failures {
@@ -277,7 +290,7 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "perf_report: mrct, bcat, and streamed phases within {GATE_FACTOR}x of recorded \
-             baselines"
+             baselines; default path within {CHOICE_FACTOR}x of the faster engine"
         );
     }
     ExitCode::SUCCESS
@@ -289,6 +302,17 @@ fn usage(problem: &str) -> ExitCode {
          usage: perf_report [--quick] [--samples N] [--out FILE] [--gate] | --check FILE"
     );
     ExitCode::FAILURE
+}
+
+/// The report's kernel objects with their labels; an unlabeled kernel
+/// (which `--check` rejects) is skipped.
+fn labeled_kernels(report: &Value) -> impl Iterator<Item = (&str, &Value)> {
+    report
+        .get("kernels")
+        .and_then(Value::as_array)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|kernel| Some((kernel.get("label")?.as_str()?, kernel)))
 }
 
 /// The prelude phases `--gate` covers, with their post-rewrite reference
@@ -305,14 +329,7 @@ const GATED_PHASES: [(&str, &[(&str, f64)]); 3] = [
 /// against nothing).
 fn gate_phase(report: &Value, phase: &str, table: &[(&str, f64)]) -> Vec<String> {
     let mut failures = Vec::new();
-    let kernels = report
-        .get("kernels")
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    for kernel in kernels {
-        let Some(label) = kernel.get("label").and_then(Value::as_str) else {
-            continue;
-        };
+    for (label, kernel) in labeled_kernels(report) {
         let Some(baseline) = lookup(table, label) else {
             continue;
         };
@@ -343,14 +360,7 @@ fn gate_peaks(report: &Value) -> Vec<String> {
         return Vec::new();
     }
     let mut failures = Vec::new();
-    let kernels = report
-        .get("kernels")
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    for kernel in kernels {
-        let Some(label) = kernel.get("label").and_then(Value::as_str) else {
-            continue;
-        };
+    for (label, kernel) in labeled_kernels(report) {
         let peak = |phase: &str| {
             kernel
                 .get("peak_alloc_bytes")
@@ -392,14 +402,7 @@ fn gate_scaling(report: &Value) -> Vec<String> {
         return Vec::new();
     }
     let mut failures = Vec::new();
-    let kernels = report
-        .get("kernels")
-        .and_then(Value::as_array)
-        .unwrap_or(&[]);
-    for kernel in kernels {
-        let Some(label) = kernel.get("label").and_then(Value::as_str) else {
-            continue;
-        };
+    for (label, kernel) in labeled_kernels(report) {
         if !EFFICIENCY_GATED_KERNELS.contains(&label) {
             continue;
         }
@@ -417,6 +420,36 @@ fn gate_scaling(report: &Value) -> Vec<String> {
             None => failures.push(format!(
                 "{label}: missing streamed {EFFICIENCY_WORKERS}-worker scaling efficiency"
             )),
+        }
+    }
+    failures
+}
+
+/// The automatic engine choice as a gate: `end_to_end_ns` times the
+/// default path, so minus the strip it is the engine `Engine::Auto`
+/// picked (plus its reuse pass and one frontier walk). Returns one
+/// failure line per kernel where that exceeds [`CHOICE_FACTOR`]× the
+/// faster pinned engine plus [`CHOICE_SLACK_NS`].
+fn gate_engine_choice(report: &Value) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (label, kernel) in labeled_kernels(report) {
+        let ns = |group: &str, field: &str| kernel.get(group)?.get(field)?.as_f64();
+        let (Some(end_to_end), Some(strip), Some(streamed), Some(depth_first)) = (
+            kernel.get("end_to_end_ns").and_then(Value::as_f64),
+            ns("phases_ns", "strip"),
+            ns("phases_ns", "streamed"),
+            ns("engines_ns", "depth_first"),
+        ) else {
+            continue;
+        };
+        let faster = streamed.min(depth_first);
+        if end_to_end - strip > CHOICE_FACTOR * faster + CHOICE_SLACK_NS {
+            failures.push(format!(
+                "{label}: default path {:.0} ns beyond its strip exceeds {CHOICE_FACTOR}x the \
+                 faster engine ({faster:.0} ns) + {CHOICE_SLACK_NS:.0} ns: the engine choice \
+                 picked the slower one",
+                end_to_end - strip
+            ));
         }
     }
     failures

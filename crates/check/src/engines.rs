@@ -1,16 +1,18 @@
 //! Engine-agreement checking: every conflict-depth engine must agree.
 //!
-//! Besides the streamed fold (which [`check_profiles`] covers),
-//! `cachedse-core` computes the per-level conflict-depth profiles of §2.4
-//! with the scratch-arena depth-first engine, serial or on a worker pool.
-//! The whole point of keeping both engines byte-identical to the paper's
-//! materialized Algorithms 1–3 is that callers (and the batch service's
-//! engine-free cache key) may pick either freely. This checker runs
-//! `Engine::DepthFirst` through the public [`prepare_stripped`] entry point
-//! both serially and with `threads = 2`, reporting any level where either
-//! diverges from the reference its caller built.
+//! Every engine, serial or parallel, claims *byte-identity* with the
+//! paper's published pipeline, `postlude::materialized_profiles` (BCAT,
+//! MRCT, Algorithm 3), so callers (and the batch service's engine-free
+//! cache key) may take either. `diff_profiles` is the one loop every
+//! profile-comparing checker shares: it reports every level where a
+//! candidate and the reference disagree, as a structured violation
+//! instead of a silently wrong frontier. [`check_pipeline`] runs it on
+//! the streamed fold under [`Invariant::ProfileDivergence`];
+//! [`check_engines`] runs `Engine::DepthFirst` through the public
+//! [`prepare_stripped`] entry point both serially and with `threads = 2`,
+//! under [`Invariant::EngineDivergence`].
 //!
-//! [`check_profiles`]: crate::check_profiles
+//! [`check_pipeline`]: crate::check_pipeline
 
 use std::num::NonZeroUsize;
 
@@ -18,7 +20,6 @@ use cachedse_core::{prepare_stripped, Engine};
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::StrippedTrace;
 
-use crate::profiles::diff_profiles;
 use crate::report::{Invariant, Location, Violation};
 
 /// Worker count pinned for the parallel schedule during checking. Two
@@ -26,6 +27,42 @@ use crate::report::{Invariant, Location, Violation};
 /// splitting threshold is thread-count independent, so any pinning is
 /// representative.
 const CHECK_WORKERS: usize = 2;
+
+/// Diffs `candidate` against `golden` level by level: one `invariant`
+/// violation per differing level, or a single global one when the level
+/// counts disagree. `label` names the candidate in each message.
+pub(crate) fn diff_profiles(
+    invariant: Invariant,
+    label: &str,
+    candidate: &[DepthProfile],
+    golden: &[DepthProfile],
+) -> Vec<Violation> {
+    if candidate.len() != golden.len() {
+        return vec![Violation::new(
+            invariant,
+            Location::Global,
+            format!(
+                "{label}: produced {} level profile(s), reference has {}",
+                candidate.len(),
+                golden.len()
+            ),
+        )];
+    }
+    candidate
+        .iter()
+        .zip(golden)
+        .enumerate()
+        .filter(|(_, (got, want))| got != want)
+        .map(|(level, (got, want))| {
+            let level = u32::try_from(level).expect("level fits u32");
+            Violation::new(
+                invariant,
+                Location::Level(level),
+                format!("{label}: profile {got:?} differs from reference {want:?}"),
+            )
+        })
+        .collect()
+}
 
 /// Recomputes the per-level profiles with the depth-first engine, serial
 /// and parallel, and returns one violation per `(schedule, level)`
@@ -64,7 +101,7 @@ pub fn check_engines(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachedse_core::postlude;
+    use cachedse_core::{postlude, streamed};
     use cachedse_trace::{generate, paper_running_example};
 
     fn engines_agree(trace: &cachedse_trace::Trace) -> bool {
@@ -82,5 +119,39 @@ mod tests {
     fn workload_engines_agree() {
         let trace = generate::loop_with_excursions(7, 64, 31, 5, 1 << 11, 4);
         assert!(engines_agree(&trace));
+    }
+
+    fn diff_against_reference(candidate: &[DepthProfile], s: &StrippedTrace) -> Vec<Violation> {
+        let reference = postlude::materialized_profiles(s, s.address_bits());
+        diff_profiles(
+            Invariant::ProfileDivergence,
+            "candidate",
+            candidate,
+            &reference,
+        )
+    }
+
+    #[test]
+    fn divergence_is_reported_per_level() {
+        let s = StrippedTrace::from_trace(&paper_running_example());
+        let mut fused = streamed::level_profiles(&s, s.address_bits());
+        let first = fused[0].clone();
+        let last = fused.len() - 1;
+        fused[last] = first;
+        let violations = diff_against_reference(&fused, &s);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].invariant, Invariant::ProfileDivergence);
+        assert_eq!(
+            violations[0].location,
+            Location::Level(u32::try_from(last).unwrap())
+        );
+    }
+
+    #[test]
+    fn length_mismatch_is_a_single_global_violation() {
+        let s = StrippedTrace::from_trace(&paper_running_example());
+        let violations = diff_against_reference(&[], &s);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].location, Location::Global);
     }
 }

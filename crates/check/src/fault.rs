@@ -327,8 +327,15 @@ mod tests {
                 FaultTarget::Profiles => {
                     let mut fused = cachedse_core::streamed::level_profiles(&stripped, 4);
                     assert!(inject_profiles(&mut fused, kind), "{kind} found no site");
+                    let reference = cachedse_core::postlude::materialized_profiles(&stripped, 4);
                     assert!(
-                        !crate::profiles::check_profiles(&fused, &stripped, 4).is_empty(),
+                        !crate::engines::diff_profiles(
+                            crate::report::Invariant::ProfileDivergence,
+                            "candidate",
+                            &fused,
+                            &reference,
+                        )
+                        .is_empty(),
                         "{kind} went undetected"
                     );
                 }

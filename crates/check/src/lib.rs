@@ -41,7 +41,6 @@ pub mod fault;
 pub mod frontier;
 pub mod model;
 pub mod mrct;
-pub mod profiles;
 pub mod report;
 pub mod zero_one;
 
@@ -58,7 +57,6 @@ pub use fault::{inject_bcat, inject_mrct, inject_profiles, FaultKind, FaultTarge
 pub use frontier::{check_budget_monotonicity, check_frontier};
 pub use model::{model_report, violation_from_model};
 pub use mrct::{check_mrct, check_mrct_live, MrctSnapshot};
-pub use profiles::check_profiles;
 pub use report::{CheckReport, Invariant, Location, Violation};
 pub use zero_one::check_zero_one;
 
@@ -120,7 +118,7 @@ pub fn check_pipeline(
         mrct: check_mrct(&mrct_snapshot, &stripped),
         frontier: Vec::new(),
         engine: check_engines(&stripped, max_bits, &reference),
-        profiles: profiles::diff_profiles(
+        profiles: engines::diff_profiles(
             Invariant::ProfileDivergence,
             "candidate",
             &fused,

@@ -62,8 +62,8 @@ pub enum Invariant {
     EngineDivergence,
     /// The streamed MRCT→postlude fusion produced a per-level profile
     /// different from the materialized `Mrct::build` + postlude path; the
-    /// fused default engine is sound only because it is byte-identical to
-    /// the paper's Algorithms 2–3 as published.
+    /// fused engine is sound only because it is byte-identical to the
+    /// paper's Algorithms 2–3 as published.
     ProfileDivergence,
     /// The concurrency model checker found a schedule in which every thread
     /// is blocked (or stuck past the step bound) with no waiter involved.
@@ -225,8 +225,7 @@ pub struct CheckReport {
     /// materialized reference).
     pub engine: Vec<Violation>,
     /// Streamed-vs-materialized postlude divergence violations (the fused
-    /// replay, or served profiles, against
-    /// `postlude::materialized_profiles`).
+    /// replay against `postlude::materialized_profiles`).
     pub profiles: Vec<Violation>,
     /// Concurrency-model violations (deadlock, lost wakeup, data race,
     /// misuse, panic) found by exploring the serve-pool and parallel-engine

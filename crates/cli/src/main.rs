@@ -7,8 +7,7 @@
 //! cachedse stats trace.din
 //! cachedse simulate trace.din --depth 64 --assoc 2 [--policy lru] [--line-bits 0]
 //! cachedse explore trace.din (--misses K | --fraction F) [--max-bits B]
-//!                            [--engine streamed|dfs] [--threads N]
-//!                            [--verify] [--format json]
+//!                            [--threads N] [--verify] [--format json]
 //! cachedse sweep trace.din [--max-bits B]        # the paper's K-grid table
 //! cachedse check trace.din [--misses K | --fraction F] [--max-bits B]
 //!                          [--inject-fault <kind>] [--quiet] [--format json]
@@ -18,12 +17,10 @@
 //!                        # dfs-split, and streamed-split scenarios; needs
 //!                        # a build with RUSTFLAGS="--cfg cachedse_model"
 //! cachedse batch [jobs.jsonl] [--workers N] [--queue N] [--cache N]
-//!                [--engine streamed|dfs] [--threads N]
-//!                [--timeout-ms MS] [--validate]
+//!                [--threads N] [--timeout-ms MS] [--validate]
 //!                [--store-dir DIR]               # JSONL jobs in, results out
 //! cachedse serve [--bind HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!                [--engine streamed|dfs] [--threads N]
-//!                [--timeout-ms MS] [--validate]
+//!                [--threads N] [--timeout-ms MS] [--validate]
 //!                [--store-dir DIR]               # persistent artifact store
 //!                [--join HOST:PORT[,HOST:PORT…]] # enter a shard ring
 //!                [--advertise HOST:PORT]         # address peers dial back
@@ -97,6 +94,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // `Args` ignores unknown options, and a silently ignored `--engine`
+    // would mislead anyone timing one engine against the other.
+    if args.opt_str("engine").is_some() {
+        eprintln!(
+            "cachedse: --engine is retired: the engine is now chosen per trace \
+             (`explore --format json` reports which one ran)"
+        );
+        return ExitCode::FAILURE;
+    }
     let result = match command.as_str() {
         "gen" => cmd_gen(&args),
         "stats" => cmd_stats(&args),
@@ -242,20 +248,8 @@ fn cmd_simulate(args: &Args) -> CliResult {
     Ok(())
 }
 
-fn engine_of(args: &Args) -> Result<Engine, Box<dyn std::error::Error>> {
-    match args.opt_str("engine").unwrap_or("streamed") {
-        "streamed" => Ok(Engine::Streamed),
-        "dfs" => Ok(Engine::DepthFirst),
-        other => Err(format!(
-            "unknown engine {other:?}; expected streamed|dfs \
-             (for parallel depth-first use --engine dfs --threads N)"
-        )
-        .into()),
-    }
-}
-
-/// `--threads N` worker pin: N ≥ 2 runs the `streamed` or `dfs` engine on
-/// N workers; absent or 1 runs it serially.
+/// `--threads N` worker pin: N ≥ 2 runs the engine picked for the trace
+/// on N workers; absent or 1 runs it serially.
 fn threads_of(args: &Args) -> Result<Option<std::num::NonZeroUsize>, Box<dyn std::error::Error>> {
     match args.opt::<usize>("threads")? {
         None => Ok(None),
@@ -272,14 +266,15 @@ fn cmd_explore(args: &Args) -> CliResult {
         (None, None) => return Err("explore needs --misses K or --fraction F".into()),
         (Some(_), Some(_)) => return Err("--misses and --fraction are mutually exclusive".into()),
     };
-    let mut explorer = DesignSpaceExplorer::new(&trace).engine(engine_of(args)?);
+    let mut explorer = DesignSpaceExplorer::new(&trace);
     if let Some(threads) = threads_of(args)? {
         explorer = explorer.threads(threads);
     }
     if let Some(bits) = args.opt::<u32>("max-bits")? {
         explorer = explorer.max_index_bits(bits);
     }
-    let result = explorer.explore(budget)?;
+    let exploration = explorer.prepare()?;
+    let result = exploration.result(budget)?;
     if args.flag("verify") {
         let checks = verify::check_result(&trace, &result)?;
         if !format_is_json(args)? {
@@ -290,7 +285,7 @@ fn cmd_explore(args: &Args) -> CliResult {
         }
     }
     if format_is_json(args)? {
-        println!("{}", explore_json(&result).render());
+        println!("{}", explore_json(&result, exploration.engine()).render());
         return Ok(());
     }
     println!("trace: {}", result.stats());
@@ -310,10 +305,10 @@ fn format_is_json(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
     }
 }
 
-/// Renders an exploration result as one JSON object (the `--format json`
-/// output of `explore`, and the shape the batch service's result lines
-/// embed under `"frontier"`).
-fn explore_json(result: &cachedse_core::ExplorationResult) -> Value {
+/// Renders an exploration result, and the engine that computed it, as one
+/// JSON object (the `--format json` output of `explore`; the batch
+/// service's result lines embed the same frontier shape).
+fn explore_json(result: &cachedse_core::ExplorationResult, engine: Engine) -> Value {
     let stats = result.stats();
     let frontier = Value::array(result.pairs().iter().map(|p| {
         Value::object([
@@ -342,6 +337,7 @@ fn explore_json(result: &cachedse_core::ExplorationResult) -> Value {
                 ("max_misses", Value::from(stats.max_misses)),
             ]),
         ),
+        ("engine", Value::from(engine.to_string())),
         ("budget", Value::from(result.budget())),
         ("frontier", frontier),
         ("smallest", smallest),
@@ -470,7 +466,6 @@ fn service_config_of(
         cache_capacity: args.opt_or("cache", 16)?,
         default_timeout_ms: args.opt::<u64>("timeout-ms")?,
         validate: args.flag("validate"),
-        engine: engine_of(args)?,
         threads: threads_of(args)?,
         store,
     })

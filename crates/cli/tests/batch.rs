@@ -90,6 +90,20 @@ fn batch_reports_bad_specs_in_place_and_fails() {
     assert!(stderr(&out).contains("1 of 2 job(s) failed"));
 }
 
+/// A hostile line of deeply nested brackets is a bad spec like any other,
+/// not a stack overflow that aborts the whole batch.
+#[test]
+fn batch_survives_deeply_nested_json() {
+    let jobs = format!("{}\n{}\n", "[".repeat(200_000), job("after", 0));
+    let out = cachedse_stdin(&["batch"], &jobs);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert!(lines[0].contains(r#""kind":"bad-spec""#), "{}", lines[0]);
+    assert!(lines[1].contains(r#""ok":true"#), "{}", lines[1]);
+}
+
 #[test]
 fn explore_format_json_emits_the_frontier() {
     let path = std::env::temp_dir().join(format!("cachedse-json-{}.din", std::process::id()));
@@ -106,6 +120,11 @@ fn explore_format_json_emits_the_frontier() {
     assert!(out.status.success(), "{}", stderr(&out));
     let value = Value::parse(stdout(&out).trim()).expect("output is one JSON object");
     assert_eq!(value.get("budget").and_then(Value::as_u64), Some(0));
+    let engine = value.get("engine").and_then(Value::as_str);
+    assert!(
+        matches!(engine, Some("streamed" | "depth-first")),
+        "{engine:?}"
+    );
     let frontier = value.get("frontier").and_then(Value::as_array).unwrap();
     // The paper's running example: depth 2 needs associativity 3.
     assert!(frontier.iter().any(|p| {

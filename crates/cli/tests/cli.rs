@@ -132,23 +132,56 @@ fn explore_paper_example_with_verification() {
     assert!(text.contains("verified 5 configurations"));
 }
 
-/// The materialized Algorithms 1–3 are the reference the engines are
-/// checked against, not an engine: `tree` is an unknown engine name.
+/// The engine is chosen per trace, so `--engine` is refused — whatever
+/// its value, the retired `tree` and `parallel` names included — on every
+/// subcommand that used to take it, instead of being silently ignored.
 #[test]
-fn retired_tree_engine_is_an_unknown_engine() {
+fn engine_flag_is_retired() {
     let path = write_trace("0 b\n0 c\n0 6\n0 3\n0 b\n0 4\n0 c\n0 3\n0 b\n0 6\n");
-    let out = cachedse(&[
-        "explore",
-        path.to_str().unwrap(),
-        "--misses",
-        "0",
-        "--engine",
-        "tree",
-    ]);
-    assert!(!out.status.success());
-    let message = stderr(&out);
-    assert!(message.contains("unknown engine \"tree\""), "{message}");
-    assert!(message.contains("expected streamed|dfs "), "{message}");
+    let trace = path.to_str().unwrap();
+    let commands: [&[&str]; 3] = [
+        &["explore", trace, "--misses", "0"],
+        &["batch", "-"],
+        &["serve", "--bind", "127.0.0.1:0"],
+    ];
+    for command in commands {
+        for engine in ["dfs", "streamed", "tree", "parallel"] {
+            let mut args = command.to_vec();
+            args.extend(["--engine", engine]);
+            let out = cachedse(&args);
+            assert!(!out.status.success(), "{args:?}");
+            let message = stderr(&out);
+            assert!(
+                message.contains("--engine is retired: the engine is now chosen per trace"),
+                "{args:?}: {message}"
+            );
+        }
+    }
+}
+
+/// `explore --format json` names the engine that ran: a kernel's data
+/// trace reuses across long spans and goes to depth-first, its
+/// instruction trace loops tightly and goes to the streamed fold.
+#[test]
+fn explore_reports_the_engine_picked_for_the_trace() {
+    for (side, engine) in [("data", "depth-first"), ("instr", "streamed")] {
+        let path =
+            std::env::temp_dir().join(format!("cachedse-crc-{side}-{}.din", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        let gen = format!("gen --workload crc --side {side} --out");
+        let mut gen_args: Vec<&str> = gen.split(' ').collect();
+        gen_args.push(path_str);
+        let out = cachedse(&gen_args);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let out = cachedse(&["explore", path_str, "--fraction", "0.1", "--format", "json"]);
+        let _ = std::fs::remove_file(&path);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let text = stdout(&out);
+        assert!(
+            text.contains(&format!("\"engine\":\"{engine}\"")),
+            "crc.{side}: {text}"
+        );
+    }
 }
 
 #[test]
@@ -232,13 +265,14 @@ fn rank_orders_by_energy() {
     assert!(energies.windows(2).all(|w| w[0] <= w[1]), "{energies:?}");
 }
 
-/// Parallel depth-first is `--engine dfs --threads N`, answering exactly
-/// what the serial engine does; the retired `parallel` name points there.
+/// `--threads N` runs the picked engine's parallel form, answering exactly
+/// what the serial engine does — here on a uniform random trace over a
+/// large space, which goes to depth-first.
 #[test]
-fn dfs_with_threads_matches_serial_dfs() {
+fn threads_match_serial_on_a_depth_first_trace() {
     let path = std::env::temp_dir().join(format!("cachedse-dfs-{}.din", std::process::id()));
     let path_str = path.to_str().unwrap();
-    let mut gen_args: Vec<&str> = "gen --pattern phases --phases 4 --len 3000 --ws 96 --out"
+    let mut gen_args: Vec<&str> = "gen --pattern random --len 20000 --space 16384 --seed 3 --out"
         .split(' ')
         .collect();
     gen_args.push(path_str);
@@ -249,18 +283,13 @@ fn dfs_with_threads_matches_serial_dfs() {
         args.extend_from_slice(extra);
         cachedse(&args)
     };
-    let serial = explore(&["--engine", "dfs"]);
-    let parallel = explore(&["--engine", "dfs", "--threads", "2"]);
+    let serial = explore(&[]);
+    let parallel = explore(&["--threads", "2"]);
+    let _ = std::fs::remove_file(&path);
     assert!(serial.status.success(), "{}", stderr(&serial));
     assert!(parallel.status.success(), "{}", stderr(&parallel));
+    assert!(stdout(&serial).contains("\"engine\":\"depth-first\""));
     assert_eq!(stdout(&serial), stdout(&parallel));
-
-    let retired = explore(&["--engine", "parallel"]);
-    assert!(!retired.status.success());
-    let message = stderr(&retired);
-    assert!(message.contains("unknown engine"), "{message}");
-    assert!(message.contains("--engine dfs --threads N"), "{message}");
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

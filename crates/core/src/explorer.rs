@@ -31,21 +31,27 @@ pub enum MissBudget {
 ///
 /// Both engines return exactly the profiles of the paper's Algorithms 1–3
 /// run as published, [`postlude::materialized_profiles`](crate::postlude::materialized_profiles)
-/// — the reference they are checked against, not an engine itself. They
-/// share one scheduling rule: pinning `threads ≥ 2` via
-/// [`DesignSpaceExplorer::threads`] / [`prepare_stripped`] runs that
+/// — the reference they are checked against, not an engine itself. Each
+/// wins on some traces, so the default, [`Engine::Auto`], picks one per
+/// trace; pinning an engine is for benchmarks and differential tests.
+/// They share one scheduling rule: pinning `threads ≥ 2` via
+/// [`DesignSpaceExplorer::threads`] / [`prepare_stripped`] runs the
 /// engine's parallel implementation — same bytes, split across a worker
 /// pool — and the default (no pin, or 1) stays serial so pooled services
 /// don't oversubscribe their own workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
+    /// Runs [`Engine::Streamed`] or [`Engine::DepthFirst`], whichever one
+    /// O(N) pass over the trace's reuse spans predicts is faster
+    /// (DESIGN.md §16, "Engine choice"). An [`Exploration`] records the
+    /// engine that ran, never `Auto`.
+    #[default]
+    Auto,
     /// The streamed MRCT→postlude fusion (DESIGN.md §16): the tombstone
     /// recency-array replay of [`Mrct::build`](crate::Mrct::build) with each
     /// conflict set folded into the per-level histograms the moment it is
-    /// produced — `O(unique refs)` memory, no arena, no sizing pass. The
-    /// default for fresh analytical runs. Its parallel form is the chunked
-    /// fold of DESIGN.md §17.
-    #[default]
+    /// produced — `O(unique refs)` memory, no arena, no sizing pass. Its
+    /// parallel form is the chunked fold of DESIGN.md §17.
     Streamed,
     /// The Section 2.4 combined algorithm: depth-first subtrace partitioning,
     /// linear space, no materialized BCAT/MRCT. Its parallel form fans BCAT
@@ -57,9 +63,45 @@ pub enum Engine {
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Self::Auto => f.write_str("auto"),
             Self::Streamed => f.write_str("streamed"),
             Self::DepthFirst => f.write_str("depth-first"),
         }
+    }
+}
+
+/// [`Engine::Auto`] runs the streamed fold when the reuse span `S = Σ (t −
+/// p)` over every recurrence at `t` of a reference last seen at `p` is at
+/// most this many times `N · max_index_bits`, and depth-first otherwise.
+/// `S` bounds the fold's work (the total LRU stack distance); depth-first
+/// pays about `N` per level. On the 24 kernel traces `S / (N · bits)` is
+/// 0.5–14.4 wherever the fold is faster and 51–604 wherever depth-first
+/// is (DESIGN.md §16, "Engine choice"); 27 is near the gap's geometric
+/// middle.
+const FOLD_SPAN_PER_REF_LEVEL: u64 = 27;
+
+/// Resolves [`Engine::Auto`] for one trace: one pass over the id sequence
+/// with a last-position array of `N'` entries.
+fn auto_engine(stripped: &StrippedTrace, max_bits: u32) -> Engine {
+    let ids = stripped.id_sequence();
+    // Depth-first sweeps `u32` positions; only the fold takes longer traces.
+    let Some(n) = u32::try_from(ids.len()).ok().filter(|&n| n < u32::MAX) else {
+        return Engine::Streamed;
+    };
+    let mut last_pos = vec![0u32; stripped.unique_len()];
+    let mut span = 0u64;
+    // Positions count from 1 and end at `n`, so 0 marks a first occurrence.
+    for (t, id) in (1u32..).zip(ids) {
+        let p = std::mem::replace(&mut last_pos[id.index()], t);
+        if p != 0 {
+            span += u64::from(t - p);
+        }
+    }
+    let budget = FOLD_SPAN_PER_REF_LEVEL * u64::from(n) * u64::from(max_bits);
+    if span <= budget {
+        Engine::Streamed
+    } else {
+        Engine::DepthFirst
     }
 }
 
@@ -69,13 +111,12 @@ impl fmt::Display for Engine {
 /// # Examples
 ///
 /// ```
-/// use cachedse_core::{DesignSpaceExplorer, Engine, MissBudget};
+/// use cachedse_core::{DesignSpaceExplorer, MissBudget};
 /// use cachedse_trace::paper_running_example;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let trace = paper_running_example();
 /// let result = DesignSpaceExplorer::new(&trace)
-///     .engine(Engine::DepthFirst)
 ///     .explore(MissBudget::Absolute(0))?;
 /// // Section 2.3: a depth-2 cache needs 3 ways for zero avoidable misses.
 /// assert_eq!(result.associativity_of(2), Some(3));
@@ -111,16 +152,16 @@ impl<'a> DesignSpaceExplorer<'a> {
         self
     }
 
-    /// Selects the engine.
+    /// Pins the engine instead of letting [`Engine::Auto`] pick per trace.
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
     }
 
-    /// Pins the worker count: `threads ≥ 2` runs [`Engine::Streamed`] or
-    /// [`Engine::DepthFirst`] on that many workers; 1 (or no pin, the
-    /// default) runs them serially. The result never depends on this value
+    /// Pins the worker count: `threads ≥ 2` runs the engine's parallel
+    /// form on that many workers; 1 (or no pin, the default) runs it
+    /// serially. The result never depends on this value
     /// — only the wall clock does — so benchmarks and services can set it
     /// for reproducible scheduling.
     #[must_use]
@@ -168,10 +209,10 @@ impl<'a> DesignSpaceExplorer<'a> {
 /// re-stripped every run. [`DesignSpaceExplorer::prepare`] is now a thin
 /// wrapper over this function.
 ///
-/// `threads = Some(n ≥ 2)` runs [`Engine::Streamed`] or
-/// [`Engine::DepthFirst`] on `n` workers; `None` or 1 keeps them serial
-/// (pooled callers already parallelize across traces). The result never
-/// depends on the worker count.
+/// [`Engine::Auto`] is resolved here, once per trace. `threads = Some(n ≥
+/// 2)` runs the resolved engine's parallel form on `n` workers; `None` or
+/// 1 keeps it serial (pooled callers already parallelize across traces).
+/// The result never depends on the engine or the worker count.
 ///
 /// # Errors
 ///
@@ -191,12 +232,17 @@ pub fn prepare_stripped(
     if max_bits > 31 {
         return Err(ExploreError::IndexBitsTooLarge(max_bits));
     }
+    let engine = match engine {
+        Engine::Auto => auto_engine(stripped, max_bits),
+        pinned => pinned,
+    };
     let workers = threads.filter(|t| t.get() >= 2);
+    // `engine` is resolved, so the catch-all arms are depth-first.
     let profiles = match (engine, workers) {
         (Engine::Streamed, Some(t)) => streamed::level_profiles_parallel(stripped, max_bits, t),
         (Engine::Streamed, None) => streamed::level_profiles(stripped, max_bits),
-        (Engine::DepthFirst, Some(t)) => dfs::level_profiles_parallel(stripped, max_bits, t),
-        (Engine::DepthFirst, None) => dfs::level_profiles(stripped, max_bits),
+        (_, Some(t)) => dfs::level_profiles_parallel(stripped, max_bits, t),
+        (_, None) => dfs::level_profiles(stripped, max_bits),
     };
     Ok(Exploration {
         profiles,
@@ -223,7 +269,8 @@ impl Exploration {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural violation: no
+    /// Returns a description of the first structural violation:
+    /// [`Engine::Auto`] (an exploration records the engine that ran), no
     /// profiles, or depths that are not the strictly doubling sequence
     /// `1, 2, 4, …` every query method assumes (loaded bytes are
     /// untrusted and must never panic downstream).
@@ -232,6 +279,9 @@ impl Exploration {
         stats: TraceStats,
         engine: Engine,
     ) -> Result<Self, String> {
+        if engine == Engine::Auto {
+            return Err("an exploration records the engine that ran, not `auto`".to_owned());
+        }
         if profiles.is_empty() {
             return Err("an exploration has at least the depth-1 profile".to_owned());
         }
@@ -264,7 +314,8 @@ impl Exploration {
         self.stats
     }
 
-    /// The engine that produced this exploration.
+    /// The engine that produced this exploration: [`Engine::Streamed`] or
+    /// [`Engine::DepthFirst`], never [`Engine::Auto`].
     #[must_use]
     pub fn engine(&self) -> Engine {
         self.engine
@@ -506,13 +557,13 @@ impl ExplorationResult {
 /// # Examples
 ///
 /// ```
-/// use cachedse_core::{Engine, MissBudget, SharedExploration};
+/// use cachedse_core::{MissBudget, SharedExploration};
 /// use cachedse_trace::generate;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let app_a = generate::loop_pattern(0, 32, 50);
 /// let app_b = generate::strided(0, 8, 16, 50);
-/// let shared = SharedExploration::prepare(&[&app_a, &app_b], Engine::default(), None)?;
+/// let shared = SharedExploration::prepare(&[&app_a, &app_b], None)?;
 /// // One prelude per trace, arbitrarily many budget sweeps:
 /// let strict = shared.result(MissBudget::Absolute(0))?;
 /// let loose = shared.result(MissBudget::FractionOfMax(0.20))?;
@@ -526,8 +577,8 @@ pub struct SharedExploration {
 }
 
 impl SharedExploration {
-    /// Analyzes every trace once with `engine`, over the address width of
-    /// the widest trace (so all frontiers cover the same depths).
+    /// Analyzes every trace once, over the address width of the widest
+    /// trace (so all frontiers cover the same depths).
     ///
     /// # Errors
     ///
@@ -536,7 +587,6 @@ impl SharedExploration {
     /// [`prepare_stripped`].
     pub fn prepare(
         traces: &[&Trace],
-        engine: Engine,
         threads: Option<std::num::NonZeroUsize>,
     ) -> Result<Self, ExploreError> {
         let bits = traces
@@ -551,7 +601,7 @@ impl SharedExploration {
                     return Err(ExploreError::EmptyTrace);
                 }
                 let stripped = StrippedTrace::from_trace(trace);
-                prepare_stripped(&stripped, Some(bits), engine, threads)
+                prepare_stripped(&stripped, Some(bits), Engine::Auto, threads)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { explorations })
@@ -601,17 +651,13 @@ impl SharedExploration {
 /// # Examples
 ///
 /// ```
-/// use cachedse_core::{explore_shared, Engine, MissBudget};
+/// use cachedse_core::{explore_shared, MissBudget};
 /// use cachedse_trace::generate;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let app_a = generate::loop_pattern(0, 32, 50);
 /// let app_b = generate::strided(0, 8, 16, 50);
-/// let shared = explore_shared(
-///     &[&app_a, &app_b],
-///     MissBudget::Absolute(0),
-///     Engine::default(),
-/// )?;
+/// let shared = explore_shared(&[&app_a, &app_b], MissBudget::Absolute(0))?;
 /// assert!(!shared.is_empty());
 /// # Ok(())
 /// # }
@@ -619,9 +665,8 @@ impl SharedExploration {
 pub fn explore_shared(
     traces: &[&Trace],
     budget: MissBudget,
-    engine: Engine,
 ) -> Result<Vec<DesignPoint>, ExploreError> {
-    SharedExploration::prepare(traces, engine, None)?.result(budget)
+    SharedExploration::prepare(traces, None)?.result(budget)
 }
 
 #[cfg(test)]
@@ -635,7 +680,7 @@ mod tests {
         let trace = generate::working_set_phases(4, 300, 40, 3);
         let stripped = StrippedTrace::from_trace(&trace);
         let reference = postlude::materialized_profiles(&stripped, stripped.address_bits());
-        for engine in [Engine::Streamed, Engine::DepthFirst] {
+        for engine in [Engine::Auto, Engine::Streamed, Engine::DepthFirst] {
             let exploration = DesignSpaceExplorer::new(&trace)
                 .engine(engine)
                 .prepare()
@@ -801,13 +846,42 @@ mod tests {
 
     #[test]
     fn engine_display() {
+        assert_eq!(Engine::Auto.to_string(), "auto");
         assert_eq!(Engine::Streamed.to_string(), "streamed");
         assert_eq!(Engine::DepthFirst.to_string(), "depth-first");
     }
 
+    /// The default picks per trace; an exploration records what ran, and
+    /// one claiming `Auto` cannot be reassembled.
     #[test]
-    fn streamed_is_the_default_engine() {
-        assert_eq!(Engine::default(), Engine::Streamed);
+    fn auto_is_the_default_engine_and_never_recorded() {
+        assert_eq!(Engine::default(), Engine::Auto);
+        let exploration = DesignSpaceExplorer::new(&paper_running_example())
+            .prepare()
+            .unwrap();
+        let (profiles, stats) = (exploration.profiles().to_vec(), exploration.stats());
+        assert!(Exploration::from_parts(profiles.clone(), stats, Engine::Auto).is_err());
+        let rebuilt = Exploration::from_parts(profiles, stats, exploration.engine()).unwrap();
+        assert_eq!(rebuilt, exploration);
+        assert_ne!(rebuilt.engine(), Engine::Auto);
+    }
+
+    /// A loop reuses each address after a short span, so the fold is cheap;
+    /// uniform accesses over a large space reuse after long spans, so
+    /// depth-first wins. `Auto` reports what it ran, serial or parallel.
+    #[test]
+    fn auto_resolves_per_trace() {
+        let looped = generate::loop_pattern(0, 32, 50);
+        let random = generate::uniform_random(20_000, 1 << 14, 3);
+        for (trace, expected) in [(looped, Engine::Streamed), (random, Engine::DepthFirst)] {
+            let stripped = StrippedTrace::from_trace(&trace);
+            for threads in [None, std::num::NonZeroUsize::new(2)] {
+                let auto = prepare_stripped(&stripped, None, Engine::Auto, threads).unwrap();
+                assert_eq!(auto.engine(), expected, "threads {threads:?}");
+                let pinned = prepare_stripped(&stripped, None, expected, None).unwrap();
+                assert_eq!(auto, pinned);
+            }
+        }
     }
 
     #[test]
@@ -856,8 +930,7 @@ mod tests {
         ];
         let refs: Vec<&Trace> = apps.iter().collect();
         let budget = 25u64;
-        let shared =
-            explore_shared(&refs, MissBudget::Absolute(budget), Engine::default()).unwrap();
+        let shared = explore_shared(&refs, MissBudget::Absolute(budget)).unwrap();
         for point in &shared {
             let config = CacheConfig::lru(point.depth, point.associativity).unwrap();
             for app in &apps {
@@ -881,17 +954,17 @@ mod tests {
     #[test]
     fn shared_exploration_of_nothing_is_an_error() {
         assert_eq!(
-            explore_shared(&[], MissBudget::Absolute(0), Engine::default()).unwrap_err(),
+            explore_shared(&[], MissBudget::Absolute(0)).unwrap_err(),
             ExploreError::EmptyTrace
         );
         assert_eq!(
-            SharedExploration::prepare(&[], Engine::default(), None).unwrap_err(),
+            SharedExploration::prepare(&[], None).unwrap_err(),
             ExploreError::EmptyTrace
         );
     }
 
     /// One `prepare()` serves many budgets, matching the one-shot helper
-    /// budget for budget, for every engine.
+    /// budget for budget.
     #[test]
     fn shared_exploration_reuses_preludes_across_budgets() {
         let apps = [
@@ -899,30 +972,27 @@ mod tests {
             generate::working_set_phases(3, 200, 24, 7),
         ];
         let refs: Vec<&Trace> = apps.iter().collect();
-        for engine in [Engine::Streamed, Engine::DepthFirst] {
-            let shared = SharedExploration::prepare(&refs, engine, None).unwrap();
-            assert_eq!(shared.explorations().len(), refs.len());
-            for budget in [
-                MissBudget::Absolute(0),
-                MissBudget::Absolute(10),
-                MissBudget::FractionOfMax(0.15),
-            ] {
-                assert_eq!(
-                    shared.result(budget).unwrap(),
-                    explore_shared(&refs, budget, engine).unwrap(),
-                    "{engine}"
-                );
-            }
+        let shared = SharedExploration::prepare(&refs, None).unwrap();
+        assert_eq!(shared.explorations().len(), refs.len());
+        for budget in [
+            MissBudget::Absolute(0),
+            MissBudget::Absolute(10),
+            MissBudget::FractionOfMax(0.15),
+        ] {
+            assert_eq!(
+                shared.result(budget).unwrap(),
+                explore_shared(&refs, budget).unwrap()
+            );
         }
     }
 
-    /// Pinning `threads ≥ 2` routes each fast engine through its parallel
+    /// Pinning `threads ≥ 2` routes each engine through its parallel
     /// implementation; the exploration must not change for any worker
     /// count.
     #[test]
     fn pinned_thread_counts_do_not_change_results() {
         let trace = generate::working_set_phases(4, 300, 40, 3);
-        for engine in [Engine::Streamed, Engine::DepthFirst] {
+        for engine in [Engine::Auto, Engine::Streamed, Engine::DepthFirst] {
             let baseline = DesignSpaceExplorer::new(&trace)
                 .engine(engine)
                 .explore(MissBudget::Absolute(25))

@@ -13,7 +13,8 @@
 //!   escaping — exactly one line per value, which is what JSONL framing
 //!   needs;
 //! * [`Value::parse`] is a strict recursive-descent reader (UTF-8 escapes,
-//!   surrogate pairs, nested containers) that reports byte offsets on error.
+//!   surrogate pairs, nested containers up to 64 levels deep) that reports
+//!   byte offsets on error.
 //!
 //! # Examples
 //!
@@ -34,6 +35,12 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+/// The deepest container nesting [`Value::parse`] accepts. The reader
+/// recurses once per level, so without a bound one untrusted line of
+/// `[[[[…` would overflow the parsing thread's stack and abort the
+/// process. Job specs nest 3 deep and `BENCH_dfs.json` 5.
+const MAX_NESTING: usize = 64;
 
 /// A JSON value. Objects are insertion-ordered vectors of key/value pairs,
 /// so rendering is deterministic and duplicate detection is the caller's
@@ -246,11 +253,14 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// [`JsonError`] with the byte offset of the first offending character.
+    /// [`JsonError`] with the byte offset of the first offending character
+    /// — for containers nested more than 64 levels deep, the bracket that
+    /// opens the first level too many.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -308,6 +318,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -352,12 +364,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -704,6 +730,34 @@ mod tests {
                 "{text:?} gave offset {}",
                 err.offset
             );
+        }
+    }
+
+    /// Parses `[` × `levels` + `]` × `levels` on a thread with a small
+    /// stack, so unbounded recursion fails the test instead of passing on
+    /// a roomy test thread. (The thread exists only for its stack size,
+    /// which the `cachedse-sync` shim has no knob for.)
+    fn parse_nested(levels: usize) -> Result<Value, JsonError> {
+        let text = "[".repeat(levels) + &"]".repeat(levels);
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || Value::parse(&text))
+            .expect("thread spawns")
+            .join()
+            .expect("parser thread completes")
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        assert!(parse_nested(MAX_NESTING).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        for levels in [MAX_NESTING + 1, 1_000_000] {
+            let err = parse_nested(levels).unwrap_err();
+            assert_eq!(err.offset, MAX_NESTING, "{levels} levels");
+            assert!(err.message.contains("nested deeper"), "{err}");
         }
     }
 

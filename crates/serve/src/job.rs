@@ -525,9 +525,10 @@ pub enum JobError {
         /// The configured queue bound.
         depth: usize,
     },
-    /// Cached artifacts failed re-validation (`--validate` mode).
+    /// Cached artifacts failed re-validation (`--validate` mode), or a
+    /// pushed bundle failed its decode gates.
     ArtifactCorrupt(
-        /// The check report rendered as JSON text.
+        /// The depths whose profiles differ, or the decode error.
         String,
     ),
     /// A digest-referenced job named a trace nobody has analyzed: the

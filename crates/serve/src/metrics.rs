@@ -92,8 +92,8 @@ impl HistogramSnapshot {
 pub enum Stage {
     /// Loading or generating the trace named by the job spec.
     Load,
-    /// Building the shared artifacts (strip, then the configured engine's
-    /// per-depth profiles) — charged only to cache misses.
+    /// Building the shared artifacts (strip, then the per-depth profiles
+    /// from the engine `Auto` picks) — charged only to cache misses.
     Analyze,
     /// Resolving one budget against the cached profiles.
     Frontier,
@@ -119,7 +119,8 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Artifact-cache misses (one per distinct trace analyzed).
     pub cache_misses: AtomicU64,
-    /// Cached artifact sets re-validated by `cachedse-check` before reuse.
+    /// Cached artifact sets re-validated (a depth-first re-derivation)
+    /// before reuse.
     pub validations: AtomicU64,
     /// Jobs answered by loading the persistent store ([`Found::Warm`] —
     /// codec + validation, no analysis). The store tier's own counters

@@ -31,8 +31,9 @@
 //! - `{"op":"artifact_get","digest":…,"bits":…}` — the encoded artifact
 //!   bundle for a key, hex-encoded, if this node holds it;
 //! - `{"op":"artifact_put","artifact":"<hex>"}` — decodes, **re-validates**
-//!   (checksum plus the full `cachedse-check` gate — a peer is untrusted
-//!   input like any disk file), and caches a pushed bundle.
+//!   (the codec's checksum and structural gates, then the stats gate — a
+//!   peer is untrusted input like any disk file), and caches a pushed
+//!   bundle.
 //!
 //! A job whose digest hashes to another member is forwarded over the same
 //! line protocol and answered with the owner's response plus a

@@ -27,8 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cachedse_check::{check_profiles, CheckReport};
-use cachedse_core::Engine;
+use cachedse_core::{dfs, Engine};
 use cachedse_store::ArtifactStore;
 use cachedse_sync::atomic::{AtomicBool, Ordering};
 use cachedse_sync::thread::{self, JoinHandle};
@@ -53,20 +52,12 @@ pub struct ServiceConfig {
     /// Deadline applied to jobs that do not set their own `timeout_ms`
     /// (`None` = no default deadline).
     pub default_timeout_ms: Option<u64>,
-    /// Before every reuse — a memory hit or a warm store load — recompute
-    /// the entry's per-depth profiles with `cachedse-check` and compare
-    /// them to the bytes that will answer the job. Leaves `engine` as
-    /// configured.
+    /// Before every reuse — a memory hit or a warm store load — re-derive
+    /// the entry's per-depth profiles with the depth-first engine and
+    /// compare them to the bytes that will answer the job.
     pub validate: bool,
-    /// The analytical engine workers run. The default streamed engine
-    /// fuses the MRCT replay with the postlude and analyzes without
-    /// materializing the BCAT/MRCT (O(N') memory);
-    /// [`Engine::DepthFirst`] partitions the trace depth-first (§2.4).
-    /// Both produce identical profiles, and the cache and store keep only
-    /// those.
-    pub engine: Engine,
-    /// Worker pin for each analysis: `threads ≥ 2` runs the streamed or
-    /// depth-first engine on that many workers; `None` or 1 runs it
+    /// Worker pin for each analysis: `threads ≥ 2` runs the engine
+    /// [`Engine::Auto`] picks on that many workers; `None` or 1 runs it
     /// serially (the pool already parallelizes across jobs).
     pub threads: Option<std::num::NonZeroUsize>,
     /// Backing artifact store attached to the cache (`None` = memory-only).
@@ -84,7 +75,6 @@ impl Default for ServiceConfig {
             cache_capacity: 16,
             default_timeout_ms: None,
             validate: false,
-            engine: Engine::default(),
             threads: None,
             store: None,
         }
@@ -412,7 +402,7 @@ fn run_job(inner: &Inner, label: &str, spec: &JobSpec) -> JobOutcome {
             let built = TraceArtifacts::build_with(
                 &trace,
                 max_index_bits,
-                inner.config.engine,
+                Engine::default(),
                 inner.config.threads,
             );
             metrics.record_stage(Stage::Analyze, analyze_start.elapsed());
@@ -478,28 +468,29 @@ fn resolve_by_digest(
     Ok((key, artifacts, found))
 }
 
-/// Recomputes the profiles from the stripped trace and diffs them against
-/// the entry's; a mismatch evicts the entry from memory and the store.
+/// Re-derives the profiles from the stripped trace with the depth-first
+/// engine (linear memory) and compares them level by level against the
+/// entry's; a mismatch evicts the entry from memory and the store.
 fn validate_profiles(
     inner: &Inner,
     key: &ArtifactKey,
     artifacts: &TraceArtifacts,
 ) -> Result<(), JobError> {
     inner.metrics.validations.fetch_add(1, Ordering::Relaxed);
-    let profiles = check_profiles(
-        artifacts.exploration.profiles(),
-        &artifacts.stripped,
-        key.max_index_bits,
-    );
-    if profiles.is_empty() {
+    let served = artifacts.exploration.profiles();
+    let derived = dfs::level_profiles(&artifacts.stripped, key.max_index_bits);
+    if served == derived {
         return Ok(());
     }
     inner.cache.evict(key);
-    let report = CheckReport {
-        profiles,
-        ..CheckReport::default()
-    };
-    Err(JobError::ArtifactCorrupt(report.to_json().render()))
+    let depths: Vec<String> = (0..served.len().max(derived.len()))
+        .filter(|&level| served.get(level) != derived.get(level))
+        .map(|level| (1u64 << level).to_string())
+        .collect();
+    Err(JobError::ArtifactCorrupt(format!(
+        "profiles differ from a depth-first re-derivation at depth {}",
+        depths.join(", ")
+    )))
 }
 
 pub(crate) fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
@@ -704,44 +695,27 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
     }
 
-    /// The configured engine changes how workers analyze, never what they
-    /// answer.
-    #[test]
-    fn all_engines_answer_identically() {
-        let spec = || loop_spec("engines", 40, 2);
-        let mut results = Vec::new();
-        for engine in [Engine::Streamed, Engine::DepthFirst] {
-            for threads in [None, std::num::NonZeroUsize::new(2)] {
-                let service = Service::start(ServiceConfig {
-                    workers: 1,
-                    engine,
-                    threads,
-                    ..ServiceConfig::default()
-                });
-                let id = service.submit(spec()).unwrap();
-                let (_, outcome) = service.wait(id);
-                results.push(outcome.unwrap().result);
-                let _ = service.shutdown();
-            }
-        }
-        for other in &results[1..] {
-            assert_eq!(&results[0], other);
-        }
-    }
-
-    /// Validation recomputes the profiles, so it works with an engine that
-    /// never materializes the tree, and leaves the configured engine's
-    /// entry in the cache.
+    /// Validation re-derives the profiles with depth-first, so it also
+    /// passes an entry depth-first built, and leaves that entry in the
+    /// cache. A uniform random trace over a large space is one `Auto`
+    /// sends to depth-first.
     #[test]
     fn validate_with_depth_first_engine() {
         let service = Service::start(ServiceConfig {
             workers: 1,
             validate: true,
-            engine: Engine::DepthFirst,
             ..ServiceConfig::default()
         });
-        let a = service.submit(loop_spec("a", 10, 0)).unwrap();
-        let b = service.submit(loop_spec("b", 10, 1)).unwrap();
+        let random = |id: &str, budget| JobSpec {
+            trace: TraceSource::Pattern(PatternSpec::Random {
+                len: 20_000,
+                space: 1 << 14,
+                seed: 3,
+            }),
+            ..loop_spec(id, 0, budget)
+        };
+        let a = service.submit(random("a", 0)).unwrap();
+        let b = service.submit(random("b", 1)).unwrap();
         let digest = service.wait(a).1.unwrap().digest;
         service.wait(b).1.unwrap();
         let key = service.cache().keys_for(digest)[0];
@@ -786,6 +760,7 @@ mod tests {
         let id = service.submit(spec).unwrap();
         let err = service.wait(id).1.unwrap_err();
         assert!(matches!(err, JobError::ArtifactCorrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("at depth "), "{err}");
         assert!(service.cache().keys_for(key.digest).is_empty(), "evicted");
         let stats = service.shutdown();
         assert_eq!(stats.validations, 1);

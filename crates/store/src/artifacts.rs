@@ -64,9 +64,9 @@ pub struct TraceArtifacts {
 }
 
 impl TraceArtifacts {
-    /// Analyzes `trace` with the default engine: shorthand for
-    /// [`build_with`](Self::build_with) with [`Engine::default`] and no
-    /// worker pin.
+    /// Analyzes `trace` with the engine [`Engine::Auto`] picks for it:
+    /// shorthand for [`build_with`](Self::build_with) with
+    /// [`Engine::default`] and no worker pin.
     ///
     /// # Errors
     ///

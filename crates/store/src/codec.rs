@@ -15,7 +15,8 @@
 //!                            format, which is rejected
 //! address_bits     u32       width of the stripped trace's addresses
 //! stats            3 × u64   total N, unique N', max_misses
-//! engine           u32       0 depth-first, 3 streamed (1, the retired
+//! engine           u32       the engine that ran: 0 depth-first, 3
+//!                            streamed (never `auto`; 1, the retired
 //!                            parallel depth-first tag, still reads as
 //!                            depth-first; 2, the retired tree-table
 //!                            engine's, is rejected)
@@ -120,10 +121,11 @@ fn engine_code(engine: Engine) -> u32 {
     match engine {
         Engine::DepthFirst => 0,
         Engine::Streamed => 3,
+        Engine::Auto => unreachable!("an exploration records the engine that ran"),
     }
 }
 
-fn engine_of(code: u32) -> Result<Engine, StoreError> {
+fn engine_from_code(code: u32) -> Result<Engine, StoreError> {
     match code {
         // 1 tagged the depth-first engine's parallel schedule when it was
         // its own engine; entries written then answer identically.
@@ -259,7 +261,7 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
             .map_err(|_| StoreError::Corrupt("stats.unique overflows usize".into()))?,
         max_misses: c.u64("stats.max_misses")?,
     };
-    let engine = engine_of(c.u32("engine")?)?;
+    let engine = engine_from_code(c.u32("engine")?)?;
 
     let unique: Vec<Address> = c
         .u32_array("unique addresses")?

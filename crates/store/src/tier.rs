@@ -397,7 +397,9 @@ mod tests {
     fn every_engine_builds_the_same_bundle() {
         let (trace, key) = key_of(5);
         let default = TraceArtifacts::build(&trace, key.max_index_bits).unwrap();
-        assert_eq!(default.exploration.engine(), Engine::default());
+        // The default bundle records the engine `Auto` picked for this trace.
+        let picked = default.exploration.engine();
+        assert_ne!(picked, Engine::Auto);
         let reference =
             cachedse_core::postlude::materialized_profiles(&default.stripped, key.max_index_bits);
         for engine in [Engine::Streamed, Engine::DepthFirst] {
@@ -410,6 +412,7 @@ mod tests {
                     reference,
                     "{engine}, threads {threads:?}"
                 );
+                assert_eq!(built == default, engine == picked, "{engine}");
             }
         }
     }

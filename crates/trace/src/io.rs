@@ -40,11 +40,10 @@ pub enum ParseTraceError {
     Io(io::Error),
     /// A line was not of the form `<label> <hex-address>`.
     Malformed {
-        /// 1-based line number of the offending line (record number for the
-        /// binary format).
+        /// 1-based line number of the offending line.
         line: usize,
-        /// 0-based byte offset of the start of the offending line (or
-        /// record) within the input.
+        /// 0-based byte offset of the start of the offending line within
+        /// the input.
         offset: u64,
         /// What was wrong with it.
         reason: MalformedReason,
@@ -170,63 +169,6 @@ pub fn write_din<W: Write>(mut writer: W, trace: &Trace) -> io::Result<()> {
         writeln!(writer, "{} {:x}", r.kind.label(), r.addr)?;
     }
     Ok(())
-}
-
-/// Magic bytes of the compact binary trace format.
-const BIN_MAGIC: [u8; 4] = *b"CDT1";
-
-/// Writes `trace` in the compact binary format: the 4-byte magic `CDT1`, a
-/// little-endian `u64` record count, then 5 bytes per record (label byte +
-/// little-endian `u32` address) — roughly 2× smaller than the text format
-/// and parsed without per-line allocation.
-///
-/// # Errors
-///
-/// Propagates any error from the underlying writer.
-pub fn write_bin<W: Write>(mut writer: W, trace: &Trace) -> io::Result<()> {
-    writer.write_all(&BIN_MAGIC)?;
-    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for r in trace {
-        writer.write_all(&[r.kind.label()])?;
-        writer.write_all(&r.addr.raw().to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads a trace in the compact binary format produced by [`write_bin`].
-///
-/// # Errors
-///
-/// [`ParseTraceError::Io`] on reader failure (including truncation) and
-/// [`ParseTraceError::Malformed`] (with the record number as the "line") on
-/// a bad magic or label byte.
-pub fn read_bin<R: Read>(reader: R) -> Result<Trace, ParseTraceError> {
-    let mut reader = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if magic != BIN_MAGIC {
-        return Err(ParseTraceError::Malformed {
-            line: 0,
-            offset: 0,
-            reason: MalformedReason::BadLabel,
-        });
-    }
-    let mut count_bytes = [0u8; 8];
-    reader.read_exact(&mut count_bytes)?;
-    let count = u64::from_le_bytes(count_bytes);
-    let mut trace = Trace::with_capacity(usize::try_from(count).unwrap_or(0));
-    let mut record = [0u8; 5];
-    for i in 0..count {
-        reader.read_exact(&mut record)?;
-        let kind = AccessKind::from_label(record[0]).ok_or(ParseTraceError::Malformed {
-            line: usize::try_from(i + 1).unwrap_or(usize::MAX),
-            offset: (BIN_MAGIC.len() as u64) + 8 + i * 5,
-            reason: MalformedReason::BadLabel,
-        })?;
-        let addr = u32::from_le_bytes([record[1], record[2], record[3], record[4]]);
-        trace.push(Record::new(kind, Address::new(addr)));
-    }
-    Ok(trace)
 }
 
 #[cfg(test)]
@@ -359,12 +301,6 @@ mod tests {
             read_din(&b"\n# only a comment\n\n"[..]).unwrap(),
             Trace::new()
         );
-        // But an empty *binary* file is a truncation error: the magic is
-        // mandatory.
-        assert!(matches!(
-            read_bin(&b""[..]).unwrap_err(),
-            ParseTraceError::Io(_)
-        ));
     }
 
     #[test]
@@ -380,69 +316,6 @@ mod tests {
             e.to_string(),
             "malformed trace line 3 (byte offset 17): label must be 0, 1, or 2"
         );
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let original: Trace = [
-            Record::read(Address::new(0)),
-            Record::write(Address::new(u32::MAX)),
-            Record::fetch(Address::new(0x10_0000)),
-        ]
-        .into_iter()
-        .collect();
-        let mut bytes = Vec::new();
-        write_bin(&mut bytes, &original).unwrap();
-        assert_eq!(bytes.len(), 4 + 8 + 3 * 5);
-        assert_eq!(read_bin(bytes.as_slice()).unwrap(), original);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let err = read_bin(&b"NOPE\0\0\0\0\0\0\0\0"[..]).unwrap_err();
-        assert!(matches!(err, ParseTraceError::Malformed { line: 0, .. }));
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let mut bytes = Vec::new();
-        write_bin(
-            &mut bytes,
-            &Trace::from_iter([Record::read(Address::new(7))]),
-        )
-        .unwrap();
-        bytes.pop();
-        assert!(matches!(
-            read_bin(bytes.as_slice()).unwrap_err(),
-            ParseTraceError::Io(_)
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_bad_label() {
-        let mut bytes = Vec::new();
-        write_bin(
-            &mut bytes,
-            &Trace::from_iter([Record::read(Address::new(7))]),
-        )
-        .unwrap();
-        bytes[12] = 9; // corrupt the first record's label byte
-        let err = read_bin(bytes.as_slice()).unwrap_err();
-        assert!(matches!(
-            err,
-            ParseTraceError::Malformed {
-                line: 1,
-                offset: 12, // magic (4) + record count (8)
-                reason: MalformedReason::BadLabel
-            }
-        ));
-    }
-
-    #[test]
-    fn binary_empty_trace() {
-        let mut bytes = Vec::new();
-        write_bin(&mut bytes, &Trace::new()).unwrap();
-        assert_eq!(read_bin(bytes.as_slice()).unwrap(), Trace::new());
     }
 
     #[test]

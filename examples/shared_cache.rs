@@ -7,7 +7,7 @@
 //! cargo run --release --example shared_cache
 //! ```
 
-use cachedse::core::{explore_shared, Engine, MissBudget};
+use cachedse::core::{explore_shared, MissBudget};
 use cachedse::sim::hierarchy::Hierarchy;
 use cachedse::sim::CacheConfig;
 use cachedse::trace::Trace;
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One shared data cache must hold every application under 10% of its
     // own worst case.
     let traces: Vec<&Trace> = apps.iter().map(|(_, t)| t).collect();
-    let shared = explore_shared(&traces, MissBudget::FractionOfMax(0.10), Engine::default())?;
+    let shared = explore_shared(&traces, MissBudget::FractionOfMax(0.10))?;
     println!("shared data cache requirements (every app within 10%):");
     for point in &shared {
         println!("  depth {:>6} -> {}-way", point.depth, point.associativity);
