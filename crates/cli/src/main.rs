@@ -134,7 +134,7 @@ type CliResult = Result<(), Box<dyn std::error::Error>>;
 fn load_trace(args: &Args) -> Result<Trace, Box<dyn std::error::Error>> {
     let path = args.positional(0, "trace-file")?;
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let mut trace = read_din(BufReader::new(file))?;
+    let mut trace = read_din(file).map_err(|e| format!("{path}: {e}"))?;
     let line_bits: u32 = args.opt_or("line-bits", 0)?;
     if line_bits > 0 {
         trace = trace.block_aligned(line_bits);

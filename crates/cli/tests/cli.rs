@@ -248,6 +248,22 @@ fn bad_trace_file_reports_line() {
 }
 
 #[test]
+fn bad_trace_error_names_the_file() {
+    let dir = std::env::temp_dir().join(format!("cachedse-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("bad.din");
+    std::fs::write(&path, "0 b\n9 c\n").expect("write");
+    let out = cachedse(&["explore", path.to_str().unwrap(), "--fraction", "0.1"]);
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("bad.din: malformed trace line 2 (byte offset 4)"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+#[test]
 fn rank_orders_by_energy() {
     let path = write_trace("0 b\n0 c\n0 6\n0 3\n0 b\n0 4\n0 c\n0 3\n0 b\n0 6\n");
     let out = cachedse(&["rank", path.to_str().unwrap(), "--misses", "0"]);

@@ -501,8 +501,7 @@ pub(crate) fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
         TraceSource::File(path) => {
             let file = std::fs::File::open(path)
                 .map_err(|e| JobError::Trace(format!("cannot open {path}: {e}")))?;
-            read_din(std::io::BufReader::new(file))
-                .map_err(|e| JobError::Trace(format!("{path}: {e}")))
+            read_din(file).map_err(|e| JobError::Trace(format!("{path}: {e}")))
         }
         TraceSource::Workload { name, side, seed } => {
             let kernel = cachedse_workloads::by_name(name).ok_or_else(|| {

@@ -6,10 +6,10 @@
 //! key computation. `std::collections::HashMap` pays for SipHash's
 //! flooding resistance on every probe — protection a trusted 4-byte
 //! address stream does not need. This map instead keys an open-addressing
-//! table (power-of-two capacity, linear probing, ≤ 7/8 load) with the
-//! workspace's vendored [FNV-1a](crate::digest::Fnv1a) — the same hash the
-//! content-addressed artifact cache already uses — keeping the workspace
-//! hermetic while shaving the strip phase.
+//! table (power-of-two capacity, linear probing, ≤ 7/8 load) with
+//! Fibonacci hashing: one multiply by 2^64/φ, keeping the product's top
+//! `log2 capacity` bits. Those bits depend on every key bit, so strided
+//! addresses (cache-line or page multiples) still spread over the table.
 //!
 //! The value domain is dense identifiers assigned by the caller, which is
 //! all the stripper needs; `u32::MAX` is reserved as the vacancy marker
@@ -17,7 +17,6 @@
 //! at least one record and trace lengths are bounded by addressable
 //! memory).
 
-use crate::digest::Fnv1a;
 use crate::Address;
 
 /// Vacant-slot marker in the value array.
@@ -26,7 +25,10 @@ const VACANT: u32 = u32::MAX;
 /// Initial slot count (power of two).
 const INITIAL_SLOTS: usize = 64;
 
-/// An open-addressing [`Address`] → `u32` map, FNV-1a keyed.
+/// 2^64 / φ, rounded to odd: the Fibonacci hashing multiplier.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// An open-addressing [`Address`] → `u32` map, Fibonacci hashed.
 #[derive(Clone, Debug)]
 pub struct AddrMap {
     /// Slot keys; meaningful only where `values[i] != VACANT`.
@@ -35,8 +37,10 @@ pub struct AddrMap {
     values: Vec<u32>,
     /// Occupied slot count.
     len: usize,
-    /// `capacity - 1`, for masking hashes (capacity is a power of two).
+    /// `capacity - 1`, for wrapping probes (capacity is a power of two).
     mask: usize,
+    /// `64 - log2(capacity)`: the shift that keeps a product's top bits.
+    shift: u32,
 }
 
 impl AddrMap {
@@ -48,6 +52,7 @@ impl AddrMap {
             values: vec![VACANT; INITIAL_SLOTS],
             len: 0,
             mask: INITIAL_SLOTS - 1,
+            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
         }
     }
 
@@ -63,13 +68,10 @@ impl AddrMap {
         self.len == 0
     }
 
-    /// Home slot of `key`: FNV-1a over the little-endian address bytes,
-    /// folded so the high hash bits participate in the power-of-two mask.
+    /// Home slot of `key`: the top `log2 capacity` bits of
+    /// `key · FIBONACCI`.
     fn home(&self, key: u32) -> usize {
-        let mut h = Fnv1a::new();
-        h.update_u32(key);
-        let h = h.finish();
-        ((h ^ (h >> 32)) as usize) & self.mask
+        (u64::from(key).wrapping_mul(FIBONACCI) >> self.shift) as usize
     }
 
     /// The value stored for `key`, if any.
@@ -120,6 +122,7 @@ impl AddrMap {
         let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
         let old_values = std::mem::replace(&mut self.values, vec![VACANT; new_cap]);
         self.mask = new_cap - 1;
+        self.shift -= 1;
         for (key, value) in old_keys.into_iter().zip(old_values) {
             if value == VACANT {
                 continue;
@@ -180,6 +183,20 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn vacancy_marker_value_is_rejected() {
         AddrMap::new().get_or_insert(Address::new(1), u32::MAX);
+    }
+
+    /// Keys that differ only above bit 20, a power-of-two stride, all land
+    /// in their own entries.
+    #[test]
+    fn power_of_two_stride_keys_stay_distinct() {
+        let mut map = AddrMap::new();
+        for i in 0..4096u32 {
+            assert_eq!(map.get_or_insert(Address::new(i << 20), i), i);
+        }
+        assert_eq!(map.len(), 4096);
+        for i in 0..4096u32 {
+            assert_eq!(map.get(Address::new(i << 20)), Some(i));
+        }
     }
 
     /// Growth + probing against `std::collections::HashMap` on a mixed

@@ -5,7 +5,7 @@
 //! address a numeric identifier in first-appearance order, then works on the
 //! identifier sequence. Section 2.4 of the paper notes that a hash table
 //! makes this linear; [`StrippedTrace::from_trace`] is that hash-based single
-//! pass, over the vendored FNV-1a open-addressing map
+//! pass, over the vendored Fibonacci-hashed open-addressing map
 //! ([`AddrMap`](crate::addrmap::AddrMap)) rather than `std`'s SipHash map.
 
 use std::fmt;
@@ -102,11 +102,14 @@ impl StrippedTrace {
             counts[id.index()] += 1;
             ids.push(id);
         }
+        // `trace.address_bits()` over the N' unique addresses, sparing a
+        // second pass over all N records.
+        let address_bits = unique.iter().map(|a| a.bits()).max().unwrap_or(1);
         Self {
             unique,
             ids,
             counts,
-            address_bits: trace.address_bits(),
+            address_bits,
         }
     }
 
@@ -255,6 +258,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.total_len(), 0);
         assert_eq!(s.unique_len(), 0);
+        assert_eq!(s.address_bits(), 1);
     }
 
     #[test]
@@ -348,6 +352,7 @@ mod tests {
                 .map(|&id| s.address_of(id).raw())
                 .collect();
             assert_eq!(rebuilt, addrs);
+            assert_eq!(s.address_bits(), trace.address_bits());
 
             // Unique addresses are distinct and in first-appearance order.
             let mut seen = std::collections::HashSet::new();

@@ -2,8 +2,12 @@
 //! Dinero text format, read it back, explore, and verify — the full path a
 //! downstream user takes through the public API.
 
+use std::io::Read;
+
 use cachedse::core::{verify, DesignSpaceExplorer, MissBudget};
+use cachedse::trace::digest::TraceDigest;
 use cachedse::trace::io::{read_din, write_din};
+use cachedse::trace::rng::SplitMix64;
 use cachedse::workloads::{pocsag::Pocsag, Kernel};
 
 #[test]
@@ -26,6 +30,53 @@ fn capture_serialize_parse_explore_verify() {
         .explore(MissBudget::FractionOfMax(0.10))
         .expect("non-empty trace");
     assert_eq!(result, original);
+}
+
+/// A reader that hands out its bytes 1–13 at a time, so lines straddle
+/// every kind of chunk boundary.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    rng: SplitMix64,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self
+            .rng
+            .gen_range(1..=13usize)
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn all_24_kernel_traces_round_trip_through_dinero_text() {
+    for kernel in cachedse::workloads::all() {
+        let run = kernel.capture();
+        for (side, trace) in [("data", &run.data), ("instr", &run.instr)] {
+            let mut bytes = Vec::new();
+            write_din(&mut bytes, trace).expect("in-memory write cannot fail");
+            let parsed = read_din(Dribble {
+                bytes: &bytes,
+                rng: SplitMix64::seed_from_u64(bytes.len() as u64),
+            })
+            .expect("own output parses");
+            assert!(
+                parsed == *trace,
+                "{}.{side} changed in the round trip",
+                run.name
+            );
+            assert_eq!(
+                TraceDigest::of_trace(&parsed),
+                TraceDigest::of_trace(trace),
+                "{}.{side}",
+                run.name
+            );
+        }
+    }
 }
 
 #[test]
