@@ -475,7 +475,9 @@ fn cmd_batch(args: &Args) -> CliResult {
     let config = service_config_of(args)?;
     let stdout = io::stdout().lock();
     let output = BufWriter::new(stdout);
-    let status = io::stderr().lock();
+    // Unlocked: workers report store load failures on stderr while this
+    // thread waits for their jobs, so holding the lock here deadlocks.
+    let status = io::stderr();
     let summary = match args.positional(0, "jobs-file") {
         Ok(path) if path != "-" => {
             let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;

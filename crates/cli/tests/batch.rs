@@ -2,6 +2,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use cachedse_json::Value;
 
@@ -67,6 +68,60 @@ fn batch_shares_one_analysis_across_budgets() {
     let status = stderr(&out);
     assert!(status.contains("cache_misses=1"), "{status}");
     assert!(status.contains("cache_hits=4"), "{status}");
+}
+
+/// A store entry that fails its load is reported on stderr by the worker
+/// that loads it, while the batch's own thread waits for that job. The
+/// batch must still finish: quarantine the entry, rebuild it, and say so.
+#[test]
+fn batch_rebuilds_a_corrupt_store_entry_instead_of_hanging() {
+    let dir = std::env::temp_dir().join(format!("cachedse-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().expect("temp dir is UTF-8");
+    let jobs = job("seed", 0) + "\n";
+    let out = cachedse_stdin(&["batch", "-", "--store-dir", store], &jobs);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let entry = std::fs::read_dir(&dir)
+        .expect("store dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "cdse"))
+        .expect("one stored entry");
+    let mut bytes = std::fs::read(&entry).expect("entry");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&entry, &bytes).expect("corrupt the entry");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cachedse"))
+        .args(["batch", "-", "--store-dir", store])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(jobs.as_bytes())
+        .expect("write stdin");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll the batch").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("batch hung on a corrupt store entry");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("batch output");
+    let status = stderr(&out);
+    assert!(out.status.success(), "{status}");
+    assert!(status.contains("cachedse-store: load"), "{status}");
+    assert!(status.contains("checksum mismatch"), "{status}");
+    assert!(status.contains("cache_misses=1 "), "{status}");
+    assert!(status.contains("store_hits=0 "), "{status}");
+    assert!(entry.with_extension("bad").exists(), "not quarantined");
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
 #[test]

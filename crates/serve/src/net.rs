@@ -357,21 +357,34 @@ impl ArtifactStore for ShardStore {
     }
 }
 
+/// Lowercase hex, two digits per byte, through a digit table.
 fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut hex = String::with_capacity(bytes.len() * 2);
-    for byte in bytes {
-        hex.push_str(&format!("{byte:02x}"));
+    for &byte in bytes {
+        hex.push(char::from(DIGITS[usize::from(byte >> 4)]));
+        hex.push(char::from(DIGITS[usize::from(byte & 0xF)]));
     }
     hex
 }
 
+/// The inverse of [`to_hex`], accepting either case; any other byte (a
+/// sign, a `0x` prefix, non-ASCII) or an odd length is `None`.
 fn from_hex(hex: &str) -> Option<Vec<u8>> {
+    fn nibble(digit: u8) -> Option<u8> {
+        match digit {
+            b'0'..=b'9' => Some(digit - b'0'),
+            b'a'..=b'f' => Some(digit - b'a' + 10),
+            b'A'..=b'F' => Some(digit - b'A' + 10),
+            _ => None,
+        }
+    }
     if !hex.len().is_multiple_of(2) {
         return None;
     }
     hex.as_bytes()
         .chunks_exact(2)
-        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).ok()?, 16).ok())
+        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
         .collect()
 }
 
@@ -640,4 +653,41 @@ fn forward_if_remote(request: &str, spec: &JobSpec, shard: &Shard) -> Option<Rep
             .chain([("forwarded".to_owned(), Value::from(true))]),
     );
     Some(Reply::Text(marked.render()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{from_hex, to_hex};
+
+    #[test]
+    fn hex_round_trips_every_byte_value() {
+        let bytes: Vec<u8> = (0..=u8::MAX).collect();
+        let hex = to_hex(&bytes);
+        let expected: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, expected, "lowercase, two digits per byte");
+        assert_eq!(from_hex(&hex), Some(bytes.clone()));
+        assert_eq!(from_hex(&hex.to_uppercase()), Some(bytes));
+        assert_eq!(from_hex(""), Some(Vec::new()));
+    }
+
+    #[test]
+    fn hex_refuses_signs_prefixes_odd_lengths_and_non_ascii() {
+        for bad in [
+            "+f+f",
+            "+0",
+            "-f",
+            "0x",
+            "0x0f",
+            "f",
+            "abc",
+            "g0",
+            " f",
+            "é",
+            "éé",
+            "0é",
+            "0\u{0660}0",
+        ] {
+            assert_eq!(from_hex(bad), None, "{bad:?}");
+        }
+    }
 }

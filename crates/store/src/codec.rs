@@ -6,12 +6,12 @@
 //!
 //! ```text
 //! magic            8 bytes   b"CDSEART1"
-//! version          u32       1
+//! version          u32       2
 //! digest           u64       FNV-1a trace digest (the key)
 //! max_index_bits   u32       index-bit cap the profiles were built under
 //! flags            u32       bit 1 (profiles-only) on every entry written;
-//!                            clear on legacy entries, which decode the same
-//!                            way; bit 0 marked the retired tree-bearing
+//!                            an entry with it clear decodes the same way;
+//!                            bit 0 marked the retired tree-bearing
 //!                            format, which is rejected
 //! address_bits     u32       width of the stripped trace's addresses
 //! stats            3 × u64   total N, unique N', max_misses
@@ -24,8 +24,17 @@
 //! ids              len + u32[]   the access order as identifiers
 //! profiles         len (= max_index_bits + 1), then per profile:
 //!                    depth u32, cold u64, accesses u64, histogram len + u64[]
-//! checksum         u64       FNV-1a over every preceding byte
+//! checksum         u64       XXH64 (seed 0) over every preceding byte
 //! ```
+//!
+//! Version 1 had the same layout under a byte-wise FNV-1a checksum. It is
+//! retired: the version word is read before the checksum, and a version-1
+//! entry is [`StoreError::Corrupt`] (named `retired tree-bearing entry
+//! format` when its flag bit 0 is set, `retired format version 1`
+//! otherwise), so the disk store quarantines it and the next job rebuilds
+//! it as version 2. The trace digest, the key fold and the hash ring keep
+//! FNV-1a: they are the content address and the ring placement, not a
+//! checksum.
 //!
 //! Array lengths are `u64` counts prefixed to each array and are checked
 //! against the bytes actually remaining **before** any allocation, so a
@@ -38,7 +47,7 @@
 
 use cachedse_core::{Engine, Exploration};
 use cachedse_sim::onepass::DepthProfile;
-use cachedse_trace::digest::{Fnv1a, TraceDigest};
+use cachedse_trace::digest::TraceDigest;
 use cachedse_trace::stats::TraceStats;
 use cachedse_trace::strip::{RefId, StrippedTrace};
 use cachedse_trace::Address;
@@ -48,17 +57,106 @@ use crate::{ArtifactKey, StoreError, TraceArtifacts};
 /// The 8-byte format magic.
 pub const MAGIC: [u8; 8] = *b"CDSEART1";
 /// The current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
+/// The retired version with the same layout under a byte-wise FNV-1a
+/// checksum; its entries are rejected and rebuilt.
+const RETIRED_VERSION: u32 = 1;
 /// Flag bit 0: a tree-bearing entry from an earlier build, which appended
 /// the zero/one sets, BCAT and MRCT after the profiles. Nothing reads that
 /// block any more, so such entries are rejected and rebuilt.
 const RETIRED_TREE_BIT: u32 = 1;
 /// Flag bit 1: a profiles-only entry — the stripped trace and the
-/// per-depth profiles, the only format written. Legacy entries carry
-/// neither bit and decode the same way.
+/// per-depth profiles, the only format written. An entry with neither
+/// bit decodes the same way.
 const FLAG_PROFILES_ONLY: u32 = 1 << 1;
+/// Byte offset of the `version` word, right after the magic.
+const VERSION_AT: usize = MAGIC.len();
+/// Byte offset of the `flags` word: magic, version, digest, max_index_bits.
+const FLAGS_AT: usize = VERSION_AT + 4 + 8 + 4;
 /// Smallest possible entry: magic + version + trailing checksum.
 const MIN_LEN: usize = MAGIC.len() + 4 + 8;
+
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"))
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b.try_into().expect("a 4-byte chunk"))
+}
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+/// XXH64 with seed 0: four independent lanes over 32-byte stripes, so the
+/// multiplies overlap instead of forming one dependent chain per byte.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        let mut acc = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (a, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *a = xxh_round(*a, le_u64(lane));
+            }
+        }
+        let mut h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        for a in acc {
+            h = xxh_merge(h, a);
+        }
+        h
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h = (h ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        h = (h ^ u64::from(le_u32(&tail[..4])).wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(XXH_P5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -68,17 +166,23 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Writes the length prefix, grows `buf` once, and fills the new tail.
 fn put_u32_array(buf: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u32>) {
     put_u64(buf, values.len() as u64);
-    for v in values {
-        put_u32(buf, v);
+    let start = buf.len();
+    buf.resize(start + 4 * values.len(), 0);
+    for (out, v) in buf[start..].chunks_exact_mut(4).zip(values) {
+        out.copy_from_slice(&v.to_le_bytes());
     }
 }
 
+/// Writes the length prefix, grows `buf` once, and fills the new tail.
 fn put_u64_array(buf: &mut Vec<u8>, values: &[u64]) {
     put_u64(buf, values.len() as u64);
-    for &v in values {
-        put_u64(buf, v);
+    let start = buf.len();
+    buf.resize(start + 8 * values.len(), 0);
+    for (out, v) in buf[start..].chunks_exact_mut(8).zip(values) {
+        out.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -110,9 +214,7 @@ pub fn encode(key: &ArtifactKey, artifacts: &TraceArtifacts) -> Vec<u8> {
         put_u64(&mut buf, profile.accesses());
         put_u64_array(&mut buf, profile.histogram());
     }
-    let mut h = Fnv1a::new();
-    h.update(&buf);
-    let checksum = h.finish();
+    let checksum = xxh64(&buf);
     put_u64(&mut buf, checksum);
     buf
 }
@@ -163,15 +265,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.take(4, what).map(le_u32)
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.take(8, what).map(le_u64)
     }
 
     /// A length prefix, verified to fit the remaining bytes at `width`
@@ -192,14 +290,26 @@ impl<'a> Cursor<'a> {
         Ok(len)
     }
 
-    fn u32_array(&mut self, what: &str) -> Result<Vec<u32>, StoreError> {
+    /// A length-prefixed array, taken in one bounds check and decoded
+    /// straight into the result through `wrap`.
+    fn u32_array<T>(&mut self, what: &str, wrap: impl Fn(u32) -> T) -> Result<Vec<T>, StoreError> {
         let len = self.len_of(4, what)?;
-        (0..len).map(|_| self.u32(what)).collect()
+        Ok(self
+            .take(4 * len, what)?
+            .chunks_exact(4)
+            .map(|b| wrap(le_u32(b)))
+            .collect())
     }
 
+    /// A length-prefixed array, taken in one bounds check and decoded
+    /// straight into the result.
     fn u64_array(&mut self, what: &str) -> Result<Vec<u64>, StoreError> {
         let len = self.len_of(8, what)?;
-        (0..len).map(|_| self.u64(what)).collect()
+        Ok(self
+            .take(8 * len, what)?
+            .chunks_exact(8)
+            .map(le_u64)
+            .collect())
     }
 }
 
@@ -225,23 +335,33 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
         ));
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    let mut h = Fnv1a::new();
-    h.update(body);
-    let computed = h.finish();
+    // The version decides which checksum the trailer holds, so it is read
+    // first; only the current version's checksum is ever computed.
+    let version = le_u32(&bytes[VERSION_AT..VERSION_AT + 4]);
+    if version == RETIRED_VERSION {
+        let tree = body
+            .get(FLAGS_AT..FLAGS_AT + 4)
+            .is_some_and(|f| le_u32(f) & RETIRED_TREE_BIT != 0);
+        return Err(StoreError::Corrupt(if tree {
+            "retired tree-bearing entry format (flag bit 0); rebuild it profiles-only".into()
+        } else {
+            format!("retired format version {RETIRED_VERSION}; rebuild it as version {VERSION}")
+        }));
+    }
+    if version != VERSION {
+        return Err(StoreError::Corrupt(format!(
+            "unsupported format version {version} (this build reads {VERSION})"
+        )));
+    }
+    let stored = le_u64(tail);
+    let computed = xxh64(body);
     if stored != computed {
         return Err(StoreError::Corrupt(format!(
             "checksum mismatch: stored {stored:016x}, computed {computed:016x}"
         )));
     }
 
-    let mut c = Cursor::new(&body[MAGIC.len()..]);
-    let version = c.u32("version")?;
-    if version != VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported format version {version} (this build reads {VERSION})"
-        )));
-    }
+    let mut c = Cursor::new(&body[VERSION_AT + 4..]);
     let digest = TraceDigest::from_raw(c.u64("digest")?);
     let max_index_bits = c.u32("max_index_bits")?;
     let flags = c.u32("flags")?;
@@ -263,16 +383,8 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
     };
     let engine = engine_from_code(c.u32("engine")?)?;
 
-    let unique: Vec<Address> = c
-        .u32_array("unique addresses")?
-        .into_iter()
-        .map(Address::new)
-        .collect();
-    let ids: Vec<RefId> = c
-        .u32_array("id sequence")?
-        .into_iter()
-        .map(RefId::new)
-        .collect();
+    let unique = c.u32_array("unique addresses", Address::new)?;
+    let ids = c.u32_array("id sequence", RefId::new)?;
     let stripped =
         StrippedTrace::from_parts(unique, ids, address_bits).map_err(StoreError::Corrupt)?;
 
@@ -334,16 +446,79 @@ mod tests {
         (key, artifacts)
     }
 
-    /// Byte offset of the `flags` field: magic + version + digest +
-    /// max_index_bits.
-    const FLAGS_AT: usize = MAGIC.len() + 4 + 8 + 4;
-
     fn reseal(bytes: &mut [u8]) {
         let body_len = bytes.len() - 8;
-        let mut h = Fnv1a::new();
-        h.update(&bytes[..body_len]);
-        let sum = h.finish().to_le_bytes();
+        let sum = xxh64(&bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&sum);
+    }
+
+    /// The published XXH64 vectors for seed 0: the short-input path with
+    /// 0, 1 and 3 tail bytes, and one 32-byte stripe plus a 7-byte tail.
+    #[test]
+    fn checksum_is_xxh64_with_seed_zero() {
+        for (input, expected) in [
+            (&b""[..], 0xEF46_DB37_51D8_E999),
+            (b"a", 0xD24E_C4F1_A98C_6E5B),
+            (b"abc", 0x44BC_2CF5_AD77_0999),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xFBCE_A83C_8A37_8BF1,
+            ),
+        ] {
+            assert_eq!(
+                xxh64(input),
+                expected,
+                "{:?}",
+                String::from_utf8_lossy(input)
+            );
+        }
+    }
+
+    #[test]
+    fn entries_carry_the_current_version_and_an_xxh64_trailer() {
+        let (key, artifacts) = sample(Engine::default());
+        let bytes = encode(&key, &artifacts);
+        assert_eq!(le_u32(&bytes[VERSION_AT..VERSION_AT + 4]), VERSION);
+        let (body, tail) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(le_u64(tail), xxh64(body));
+    }
+
+    /// A version-1 entry is refused before its checksum is looked at, under
+    /// the name of what it is, whatever its trailer holds.
+    #[test]
+    fn retired_version_one_is_rejected_by_name() {
+        let (key, artifacts) = sample(Engine::default());
+        let bytes = encode(&key, &artifacts);
+        for (flags, named) in [
+            (FLAG_PROFILES_ONLY, "retired format version 1"),
+            (0, "retired format version 1"),
+            (RETIRED_TREE_BIT, "retired tree-bearing"),
+        ] {
+            let mut old = bytes.clone();
+            old[VERSION_AT..VERSION_AT + 4].copy_from_slice(&RETIRED_VERSION.to_le_bytes());
+            old[FLAGS_AT..FLAGS_AT + 4].copy_from_slice(&flags.to_le_bytes());
+            for sealed in [false, true] {
+                if sealed {
+                    reseal(&mut old);
+                }
+                let err = decode(&old).unwrap_err();
+                assert!(
+                    matches!(&err, StoreError::Corrupt(m) if m.contains(named)),
+                    "flags {flags:#x}, resealed {sealed}: {err:?}"
+                );
+            }
+        }
+        // Too short to hold a flags word before the trailer: still named,
+        // never an out-of-bounds read.
+        for len in MIN_LEN..FLAGS_AT + 4 + 8 {
+            let mut short = [&MAGIC[..], &RETIRED_VERSION.to_le_bytes()].concat();
+            short.resize(len, 0);
+            let err = decode(&short).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains("retired format version 1")),
+                "{len} bytes: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -477,6 +652,38 @@ mod tests {
         }
     }
 
+    /// A checksummed entry whose depth-1 histogram sums past `u64::MAX` to
+    /// exactly `total − unique` must fail the stats gate, not wrap through
+    /// it (release) or panic on the addition (debug).
+    #[test]
+    fn overflowing_histogram_fails_the_stats_gate() {
+        let (key, artifacts) = sample(Engine::default());
+        let stats = artifacts.exploration.stats();
+        let mut profiles = artifacts.exploration.profiles().to_vec();
+        let depth1 = &profiles[0];
+        profiles[0] = DepthProfile::from_parts(
+            1,
+            vec![u64::MAX, (stats.total - stats.unique) as u64 + 1],
+            depth1.cold(),
+            depth1.accesses(),
+        );
+        let exploration =
+            Exploration::from_parts(profiles, stats, artifacts.exploration.engine()).unwrap();
+        let bytes = encode(
+            &key,
+            &TraceArtifacts {
+                stripped: artifacts.stripped,
+                tree: None,
+                exploration,
+            },
+        );
+        let err = crate::decode_validated(&key, &bytes).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Invalid(m) if m.contains("depth-1 ")),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn every_truncation_is_rejected_structurally() {
         let (key, artifacts) = sample(Engine::default());
@@ -496,17 +703,24 @@ mod tests {
     fn every_single_byte_flip_is_rejected() {
         let (key, artifacts) = sample(Engine::default());
         let bytes = encode(&key, &artifacts);
-        // Flip one byte at a spread of offsets: the checksum (or, for
-        // flips inside the checksum itself, the recomputation) fires.
-        for at in (0..bytes.len()).step_by(bytes.len() / 37 + 1) {
-            let mut bad = bytes.clone();
-            bad[at] ^= 0x40;
+        // Flip one byte at a spread of offsets, then every single bit of
+        // the entry: the magic, version or checksum gate (or, for flips
+        // inside the checksum itself, the recomputation) fires.
+        let sampled = (0..bytes.len())
+            .step_by(bytes.len() / 37 + 1)
+            .map(|at| (at, 0x40));
+        let every_bit = (0..bytes.len()).flat_map(|at| (0..8).map(move |bit| (at, 1u8 << bit)));
+        let mut bad = bytes.clone();
+        for (at, mask) in sampled.chain(every_bit) {
+            bad[at] ^= mask;
             let err = decode(&bad).unwrap_err();
             assert!(
                 matches!(err, StoreError::Corrupt(_)),
-                "flip at {at}: {err:?}"
+                "flip {mask:#04x} at {at}: {err:?}"
             );
+            bad[at] ^= mask;
         }
+        assert_eq!(bad, bytes);
     }
 
     #[test]

@@ -157,9 +157,15 @@ pub fn validate_loaded(artifacts: &TraceArtifacts) -> Result<(), StoreError> {
         )));
     }
     for profile in artifacts.exploration.profiles() {
+        // A hostile histogram can hold counts whose sum wraps; checked
+        // addition refuses it instead of wrapping to the expected total.
+        let reuses = profile
+            .histogram()
+            .iter()
+            .try_fold(0u64, |sum, &n| sum.checked_add(n));
         if profile.cold() != stats.unique as u64
             || profile.accesses() != stats.total as u64
-            || profile.histogram().iter().sum::<u64>() != (stats.total - stats.unique) as u64
+            || reuses != Some((stats.total - stats.unique) as u64)
         {
             return Err(StoreError::Invalid(format!(
                 "depth-{} profile disagrees with the trace statistics",

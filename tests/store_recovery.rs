@@ -6,8 +6,9 @@
 //! rebuilt by the next job. No torn file is ever served, and no torn file
 //! ever panics the decoder. An entry that decodes cleanly but carries
 //! wrong profiles is caught by a `--validate` service on its warm load.
-//! A tree-bearing entry left by an earlier build is quarantined and
-//! rebuilt the same way.
+//! A tree-bearing entry left by an earlier build, and a version-1 entry
+//! (the current layout under the retired FNV-1a checksum), are quarantined
+//! and rebuilt the same way.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -288,4 +289,98 @@ fn legacy_tree_entry_is_quarantined_and_rebuilt_profiles_only() {
     let _ = restarted.shutdown();
     std::fs::remove_file(&din).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What a version-1 build wrote for the trace of
+/// `{"pattern":"phases","len":2000,"seed":7}`, filed under its key as
+/// `f301cd62042bc445-11.cdse`: the current layout under the retired
+/// byte-wise FNV-1a checksum.
+const V1_ENTRY: &[u8] = include_bytes!("fixtures/v1_entry.cdse");
+
+/// A version-1 entry is refused by name before its checksum is looked at,
+/// quarantined by the disk store, and rebuilt by the next job as a
+/// version-2 entry of the same length that differs only in its version
+/// word and checksum; a restarted node then answers warm from it.
+#[test]
+fn v1_entry_is_quarantined_and_rebuilt() {
+    let trace = generate::working_set_phases(8, 2_000, 256, 7);
+    let key = ArtifactKey::of(&trace, trace.address_bits());
+    let err = codec::decode(V1_ENTRY).unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Corrupt(m) if m.contains("retired format version 1")),
+        "{err:?}"
+    );
+
+    let dir = tmp_dir("v1");
+    let path = DiskStore::open(&dir).unwrap().path_of(&key);
+    assert_eq!(
+        path.file_name().unwrap().to_str(),
+        Some("f301cd62042bc445-11.cdse")
+    );
+    std::fs::write(&path, V1_ENTRY).unwrap();
+    let store = DiskStore::open(&dir).unwrap();
+    assert_eq!(store.keys_for(key.digest), vec![key], "indexed by its name");
+    let err = store.load(&key).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    assert!(path.with_extension("bad").exists(), "not quarantined");
+    assert!(!path.exists(), "quarantine moves the entry aside");
+    drop(store);
+
+    let din = std::env::temp_dir().join(format!("cachedse-v1-{}.din", std::process::id()));
+    cachedse_trace::io::write_din(std::fs::File::create(&din).unwrap(), &trace).unwrap();
+    let spec = |id: &str| JobSpec {
+        trace: TraceSource::File(din.display().to_string()),
+        ..job(id, 0)
+    };
+    let service = Service::start(config(&dir));
+    let id = service.submit(spec("rebuild")).unwrap();
+    let rebuilt = service.wait(id).1.unwrap();
+    assert_eq!(rebuilt.cache, Found::Miss);
+    assert_eq!(rebuilt.digest, key.digest);
+    let stats = service.shutdown();
+    assert_eq!((stats.cache_misses, stats.store_hits), (1, 0));
+
+    let bytes = std::fs::read(&path).unwrap();
+    let n = V1_ENTRY.len();
+    assert_eq!(bytes.len(), n, "the layout is unchanged");
+    assert_eq!(&bytes[..8], &V1_ENTRY[..8]);
+    assert_eq!(bytes[8..12], codec::VERSION.to_le_bytes());
+    assert_eq!(
+        &bytes[12..n - 8],
+        &V1_ENTRY[12..n - 8],
+        "only the version and the checksum differ"
+    );
+    assert_ne!(&bytes[n - 8..], &V1_ENTRY[n - 8..]);
+    let (decoded_key, decoded) = codec::decode(&bytes).unwrap();
+    assert_eq!(decoded_key, key);
+    assert_eq!(
+        decoded,
+        TraceArtifacts::build(&trace, key.max_index_bits).unwrap()
+    );
+
+    let restarted = Service::start(config(&dir));
+    let id = restarted.submit(spec("warm")).unwrap();
+    let warm = restarted.wait(id).1.unwrap();
+    assert_eq!(warm.cache, Found::Warm);
+    assert_eq!(warm.result, rebuilt.result);
+    let stats = restarted.shutdown();
+    assert_eq!((stats.cache_misses, stats.store_hits), (0, 1));
+    std::fs::remove_file(&din).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// No prefix of a retired entry decodes or panics, including the 20–27
+/// byte ones whose body is too short to hold the flags word the
+/// version-1 message reads.
+#[test]
+fn every_prefix_of_a_retired_entry_is_corrupt() {
+    for (name, entry) in [("v1", V1_ENTRY), ("tree", LEGACY_TREE_ENTRY)] {
+        for len in 0..=entry.len() {
+            let err = codec::decode(&entry[..len]).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt(_)),
+                "{name} prefix of {len} bytes: {err:?}"
+            );
+        }
+    }
 }
