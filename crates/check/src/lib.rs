@@ -39,7 +39,6 @@ pub mod bcat;
 pub mod engines;
 pub mod fault;
 pub mod frontier;
-pub mod model;
 pub mod mrct;
 pub mod report;
 pub mod zero_one;
@@ -55,7 +54,6 @@ pub use bcat::{check_bcat, check_bcat_live, BcatNodeSnapshot, BcatSnapshot};
 pub use engines::check_engines;
 pub use fault::{inject_bcat, inject_mrct, inject_profiles, FaultKind, FaultTarget};
 pub use frontier::{check_budget_monotonicity, check_frontier};
-pub use model::{model_report, violation_from_model};
 pub use mrct::{check_mrct, check_mrct_live, MrctSnapshot};
 pub use report::{CheckReport, Invariant, Location, Violation};
 pub use zero_one::check_zero_one;
@@ -124,7 +122,6 @@ pub fn check_pipeline(
             &fused,
             &reference,
         ),
-        model: Vec::new(),
     };
 
     let mut explorer = DesignSpaceExplorer::new(trace);

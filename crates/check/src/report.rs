@@ -65,20 +65,6 @@ pub enum Invariant {
     /// fused engine is sound only because it is byte-identical to the
     /// paper's Algorithms 2–3 as published.
     ProfileDivergence,
-    /// The concurrency model checker found a schedule in which every thread
-    /// is blocked (or stuck past the step bound) with no waiter involved.
-    ModelDeadlock,
-    /// The model checker found a schedule that strands a condition-variable
-    /// waiter forever (a notify was dropped or raced past the wait).
-    ModelLostWakeup,
-    /// The model checker's vector clocks found two unordered accesses to
-    /// the same cell, at least one a write.
-    ModelDataRace,
-    /// A primitive was used outside its contract under the model (e.g. a
-    /// mutex unlocked by a thread that does not own it).
-    ModelSyncMisuse,
-    /// A modeled thread panicked during exploration.
-    ModelPanic,
 }
 
 impl fmt::Display for Invariant {
@@ -100,11 +86,6 @@ impl fmt::Display for Invariant {
             Self::FrontierNonMonotoneBudget => "frontier-non-monotone-budget",
             Self::EngineDivergence => "engine-divergence",
             Self::ProfileDivergence => "profile-divergence",
-            Self::ModelDeadlock => "model-deadlock",
-            Self::ModelLostWakeup => "model-lost-wakeup",
-            Self::ModelDataRace => "model-data-race",
-            Self::ModelSyncMisuse => "model-sync-misuse",
-            Self::ModelPanic => "model-panic",
         };
         f.write_str(name)
     }
@@ -227,10 +208,6 @@ pub struct CheckReport {
     /// Streamed-vs-materialized postlude divergence violations (the fused
     /// replay against `postlude::materialized_profiles`).
     pub profiles: Vec<Violation>,
-    /// Concurrency-model violations (deadlock, lost wakeup, data race,
-    /// misuse, panic) found by exploring the serve-pool and parallel-engine
-    /// scenarios under `cachedse-sync`'s model scheduler.
-    pub model: Vec<Violation>,
 }
 
 impl CheckReport {
@@ -249,7 +226,6 @@ impl CheckReport {
             + self.frontier.len()
             + self.engine.len()
             + self.profiles.len()
-            + self.model.len()
     }
 
     /// Iterates every violation, family by family.
@@ -261,13 +237,11 @@ impl CheckReport {
             .chain(&self.frontier)
             .chain(&self.engine)
             .chain(&self.profiles)
-            .chain(&self.model)
     }
 
     /// Renders the whole report as one JSON object: `clean`, per-family
     /// counts, and the violation list. This is what `cachedse check
-    /// --format json` prints and what the batch service attaches to
-    /// artifact-validation failures.
+    /// --format json` prints.
     #[must_use]
     pub fn to_json(&self) -> Value {
         let counts = Value::object([
@@ -277,7 +251,6 @@ impl CheckReport {
             ("frontier", Value::from(self.frontier.len())),
             ("engine", Value::from(self.engine.len())),
             ("profiles", Value::from(self.profiles.len())),
-            ("model", Value::from(self.model.len())),
         ]);
         Value::object([
             ("clean", Value::from(self.is_clean())),
@@ -295,15 +268,14 @@ impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "zero/one: {}, bcat: {}, mrct: {}, frontier: {}, engine: {}, profiles: {}, \
-             model: {} violation(s)",
+            "zero/one: {}, bcat: {}, mrct: {}, frontier: {}, engine: {}, profiles: {} \
+             violation(s)",
             self.zero_one.len(),
             self.bcat.len(),
             self.mrct.len(),
             self.frontier.len(),
             self.engine.len(),
-            self.profiles.len(),
-            self.model.len()
+            self.profiles.len()
         )?;
         for v in self.iter() {
             writeln!(f, "  {v}")?;

@@ -47,7 +47,9 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Options that never take a value.
+/// Options that never take a value. `model` is retired but stays bare, so
+/// `check --model <trace>` is refused by name rather than reading the
+/// trace path as its value.
 const BARE_FLAGS: [&str; 5] = ["verify", "help", "quiet", "validate", "model"];
 
 impl Args {

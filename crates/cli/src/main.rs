@@ -11,11 +11,6 @@
 //! cachedse sweep trace.din [--max-bits B]        # the paper's K-grid table
 //! cachedse check trace.din [--misses K | --fraction F] [--max-bits B]
 //!                          [--inject-fault <kind>] [--quiet] [--format json]
-//! cachedse check --model [--preemptions N] [--walks N --seed S]
-//!                        [--max-executions M] [--format json]
-//!                        # concurrency model gate over the serve-pool,
-//!                        # dfs-split, and streamed-split scenarios; needs
-//!                        # a build with RUSTFLAGS="--cfg cachedse_model"
 //! cachedse batch [jobs.jsonl] [--workers N] [--queue N] [--cache N]
 //!                [--threads N] [--timeout-ms MS] [--validate]
 //!                [--store-dir DIR]               # JSONL jobs in, results out
@@ -31,7 +26,6 @@
 #![warn(missing_docs)]
 
 mod args;
-mod model_gate;
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter};
@@ -56,8 +50,6 @@ commands:
   sweep      print the paper-style table for K in {5,10,15,20}%
   rank       order the budget-satisfying configurations by dynamic energy
   check      statically verify every pipeline invariant on a trace
-             (--model explores the serve-pool, parallel-dfs, and parallel
-             streamed-fold concurrency instead)
   batch      run JSONL job specs through the shared-artifact worker pool
   serve      answer JSONL jobs over TCP until told to shut down
   workloads  list the embedded benchmark kernels
@@ -395,8 +387,15 @@ fn cmd_rank(args: &Args) -> CliResult {
 
 fn cmd_check(args: &Args) -> CliResult {
     use cachedse_check::{check_pipeline, CheckOptions};
+    // Refused by name even when a trace follows: running the artifact
+    // check instead would let a stale script pass without exploring any
+    // schedule.
     if args.flag("model") {
-        return model_gate::run(args, format_is_json(args)?);
+        return Err("check --model is retired: run the model scenarios with \
+                    RUSTFLAGS=\"--cfg cachedse_model\" cargo test -p cachedse \
+                    --test model_serve --test model_dfs --test model_store \
+                    --test model_streamed"
+            .into());
     }
     let trace = load_trace(args)?;
     let budgets = match (args.opt::<u64>("misses")?, args.opt::<f64>("fraction")?) {

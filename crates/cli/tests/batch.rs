@@ -1,7 +1,7 @@
 //! Black-box tests of the batch/serve subcommands and `--format json`.
 
 use std::io::{BufRead, BufReader, Write};
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use cachedse_json::Value;
@@ -13,7 +13,8 @@ fn cachedse(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-fn cachedse_stdin(args: &[&str], input: &str) -> Output {
+/// Starts `cachedse` with `input` written to its stdin, which is then closed.
+fn spawn_with_stdin(args: &[&str], input: &str) -> Child {
     let mut child = Command::new(env!("CARGO_BIN_EXE_cachedse"))
         .args(args)
         .stdin(Stdio::piped())
@@ -27,7 +28,30 @@ fn cachedse_stdin(args: &[&str], input: &str) -> Output {
         .expect("stdin piped")
         .write_all(input.as_bytes())
         .expect("write stdin");
-    child.wait_with_output().expect("binary runs")
+    child
+}
+
+fn cachedse_stdin(args: &[&str], input: &str) -> Output {
+    spawn_with_stdin(args, input)
+        .wait_with_output()
+        .expect("binary runs")
+}
+
+/// Runs `cachedse` on `input` and fails the test, rather than hanging it,
+/// when the process is still running after 60 s. Its output must fit the
+/// pipe buffers, since nothing reads them before it exits.
+fn cachedse_within_a_minute(args: &[&str], input: &str) -> Output {
+    let mut child = spawn_with_stdin(args, input);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll the child").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cachedse {args:?} hung");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
 }
 
 fn stdout(out: &Output) -> String {
@@ -91,29 +115,7 @@ fn batch_rebuilds_a_corrupt_store_entry_instead_of_hanging() {
     bytes[mid] ^= 0xFF;
     std::fs::write(&entry, &bytes).expect("corrupt the entry");
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cachedse"))
-        .args(["batch", "-", "--store-dir", store])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary spawns");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
-        .write_all(jobs.as_bytes())
-        .expect("write stdin");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while child.try_wait().expect("poll the batch").is_none() {
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("batch hung on a corrupt store entry");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let out = child.wait_with_output().expect("batch output");
+    let out = cachedse_within_a_minute(&["batch", "-", "--store-dir", store], &jobs);
     let status = stderr(&out);
     assert!(out.status.success(), "{status}");
     assert!(status.contains("cachedse-store: load"), "{status}");
@@ -122,6 +124,112 @@ fn batch_rebuilds_a_corrupt_store_entry_instead_of_hanging() {
     assert!(status.contains("store_hits=0 "), "{status}");
     assert!(entry.with_extension("bad").exists(), "not quarantined");
     std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+/// A version-1 entry (written by an earlier build for the CI store job's
+/// line) is refused, rebuilt and counted; the log line names the entry by
+/// its file stem, and the rebuilt entry answers the rerun warm.
+#[test]
+fn batch_names_and_counts_a_retired_store_entry() {
+    let dir = std::env::temp_dir().join(format!("cachedse-cli-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("store dir");
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/v1_entry.cdse"
+    );
+    std::fs::copy(fixture, dir.join("f301cd62042bc445-11.cdse")).expect("copy the fixture");
+    let store = dir.to_str().expect("temp dir is UTF-8");
+    let jobs = "{\"id\":\"a\",\"trace\":{\"pattern\":\"phases\",\"len\":2000,\"seed\":7},\
+                \"budget\":{\"misses\":0}}\n";
+
+    let out = cachedse_within_a_minute(&["batch", "-", "--store-dir", store], jobs);
+    let status = stderr(&out);
+    assert!(out.status.success(), "{status}");
+    assert!(
+        status.contains("cachedse-store: load f301cd62042bc445-11: "),
+        "{status}"
+    );
+    assert!(status.contains("retired format version 1"), "{status}");
+    assert!(status.contains("cache_misses=1 "), "{status}");
+    assert!(status.contains("store_hits=0 "), "{status}");
+    assert!(status.contains(" store_errors=1"), "{status}");
+    assert!(
+        dir.join("f301cd62042bc445-11.bad").exists(),
+        "not quarantined"
+    );
+
+    let out = cachedse_within_a_minute(&["batch", "-", "--store-dir", store], jobs);
+    let status = stderr(&out);
+    assert!(out.status.success(), "{status}");
+    assert!(status.contains("store_hits=1 "), "{status}");
+    assert!(status.contains("cache_misses=0 "), "{status}");
+    assert!(status.contains(" store_errors=0"), "{status}");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
+/// Pattern fields the generators cannot honour are `bad-spec` lines in
+/// place, never a panicked worker (which left its job without an outcome
+/// and the batch waiting forever) or an aborted process. A line size of
+/// 2^40 words puts every address in block 0.
+#[test]
+fn batch_refuses_hostile_pattern_specs_in_place() {
+    let hostile = [
+        r#"{"pattern":"phases","ws":0}"#,
+        r#"{"pattern":"random","space":0,"len":10}"#,
+        r#"{"pattern":"loop","len":4294967295,"iterations":4294967295}"#,
+        r#"{"pattern":"random","len":1099511627776}"#,
+        r#"{"pattern":"loop","base":4294967295,"len":2}"#,
+    ];
+    let mut jobs: String = hostile
+        .iter()
+        .map(|trace| format!("{{\"trace\":{trace},\"budget\":{{\"misses\":0}}}}\n"))
+        .collect();
+    jobs.push_str(
+        "{\"id\":\"wide\",\"trace\":{\"pattern\":\"phases\",\"len\":2000,\"seed\":7},\
+         \"budget\":{\"misses\":0},\"line_bits\":40}\n",
+    );
+    jobs.push_str(&(job("good", 0) + "\n"));
+
+    let out = cachedse_within_a_minute(&["batch", "-", "--workers", "1"], &jobs);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("5 of 7 job(s) failed"),
+        "{}",
+        stderr(&out)
+    );
+    let lines: Vec<Value> = stdout(&out)
+        .lines()
+        .map(|l| Value::parse(l).expect("result lines are JSON"))
+        .collect();
+    assert_eq!(lines.len(), 7, "{}", stdout(&out));
+    // A line that fails to parse is labelled by its 1-based line number.
+    for (i, line) in lines[..5].iter().enumerate() {
+        assert_eq!(
+            line.get("id").and_then(Value::as_str),
+            Some(format!("line-{}", i + 1).as_str())
+        );
+        assert_eq!(
+            line.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Value::as_str),
+            Some("bad-spec"),
+            "{}",
+            line.render()
+        );
+    }
+    assert_eq!(lines[5].get("id").and_then(Value::as_str), Some("wide"));
+    assert_eq!(
+        lines[5]
+            .get("trace")
+            .and_then(|t| t.get("unique"))
+            .and_then(Value::as_u64),
+        Some(1),
+        "{}",
+        lines[5].render()
+    );
+    assert_eq!(lines[6].get("id").and_then(Value::as_str), Some("good"));
+    assert_eq!(lines[6].get("ok").and_then(Value::as_bool), Some(true));
 }
 
 #[test]
@@ -196,6 +304,10 @@ fn check_format_json_reports_clean_and_faulty_runs() {
     assert!(out.status.success(), "{}", stderr(&out));
     let value = Value::parse(stdout(&out).trim()).expect("report is JSON");
     assert_eq!(value.get("clean").and_then(Value::as_bool), Some(true));
+    let counts = value.get("counts").and_then(Value::as_object).unwrap();
+    let families: Vec<&str> = counts.iter().map(|(f, _)| f.as_str()).collect();
+    let expected = ["zero_one", "bcat", "mrct", "frontier", "engine", "profiles"];
+    assert_eq!(families, expected);
 
     let out = cachedse(&[
         "check",

@@ -112,6 +112,31 @@ fn every_fault_kind_is_rejected() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `check --model` is retired by name, also when a trace follows: running
+/// the artifact check instead would let a stale script pass without
+/// exploring a single schedule.
+#[test]
+fn model_flag_is_retired_by_name() {
+    let path = write_trace(PAPER_TRACE);
+    let trace = path.to_str().unwrap();
+    for args in [&["check", "--model"][..], &["check", "--model", trace]] {
+        let out = cachedse(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+        let message = stderr(&out);
+        assert!(
+            message.contains(
+                "check --model is retired: run the model scenarios with \
+                 RUSTFLAGS=\"--cfg cachedse_model\" cargo test -p cachedse \
+                 --test model_serve --test model_dfs --test model_store \
+                 --test model_streamed"
+            ),
+            "{args:?}: {message}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn unknown_fault_name_is_a_clean_error() {
     let path = write_trace(PAPER_TRACE);

@@ -129,6 +129,77 @@ pub enum PatternSpec {
     },
 }
 
+/// The most references one pattern source may generate: 5× the largest
+/// kernel trace (822k references), and small enough that one spec line
+/// cannot exhaust a node's memory.
+const MAX_PATTERN_REFS: u64 = 1 << 22;
+
+impl PatternSpec {
+    /// Refuses what the generator cannot honour: an empty address space,
+    /// more than [`MAX_PATTERN_REFS`] references, or an address past the
+    /// 32-bit space. Each refusal names the fields it checked. Counts and
+    /// addresses are computed in `u64`, where products and sums of `u32`
+    /// fields cannot overflow.
+    pub(crate) fn check(&self) -> Result<(), SpecError> {
+        let wide = u64::from;
+        let (refs, refs_of, top, top_of) = match *self {
+            Self::Loop {
+                base,
+                len,
+                iterations,
+            } => (
+                wide(len) * wide(iterations),
+                "\"len\" × \"iterations\"",
+                wide(base) + wide(len.saturating_sub(1)),
+                "\"base\" + \"len\" − 1",
+            ),
+            Self::Stride {
+                base,
+                stride,
+                count,
+                iterations,
+            } => (
+                wide(count) * wide(iterations),
+                "\"count\" × \"iterations\"",
+                wide(base) + wide(count.saturating_sub(1)) * wide(stride),
+                "\"base\" + (\"count\" − 1) × \"stride\"",
+            ),
+            Self::Random { len, space, .. } => {
+                if space == 0 {
+                    return Err(SpecError::new("\"space\" must be at least 1"));
+                }
+                let refs = u64::try_from(len).unwrap_or(u64::MAX);
+                (refs, "\"len\"", wide(space) - 1, "\"space\" − 1")
+            }
+            Self::Phases {
+                phases, len, ws, ..
+            } => {
+                if ws == 0 {
+                    return Err(SpecError::new("\"ws\" must be at least 1"));
+                }
+                (
+                    wide(phases) * wide(len),
+                    "\"phases\" × \"len\"",
+                    (wide(phases) * wide(ws)).saturating_sub(1),
+                    "\"phases\" × \"ws\" − 1",
+                )
+            }
+        };
+        if refs > MAX_PATTERN_REFS {
+            return Err(SpecError::new(format!(
+                "{refs_of} is {refs} references; a pattern may generate at most \
+                 {MAX_PATTERN_REFS}"
+            )));
+        }
+        if top > u64::from(u32::MAX) {
+            return Err(SpecError::new(format!(
+                "{top_of} reaches address {top:#x}, past the 32-bit address space"
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// One design-space query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
@@ -319,6 +390,7 @@ fn parse_trace_source(value: &Value) -> Result<TraceSource, SpecError> {
                 )))
             }
         };
+        spec.check()?;
         return Ok(TraceSource::Pattern(spec));
     }
     if let Some(digest) = value.get("digest") {
@@ -716,6 +788,73 @@ mod tests {
                 err.to_string().contains(needle),
                 "{line} gave {err}, wanted {needle}"
             );
+        }
+    }
+
+    /// Pattern fields the generators cannot honour are refused at parse
+    /// time, naming the field, instead of panicking a worker or aborting
+    /// the process on a huge allocation.
+    #[test]
+    fn rejects_pattern_fields_the_generators_cannot_honour() {
+        for (trace, needle) in [
+            (
+                r#"{"pattern":"phases","ws":0}"#,
+                "\"ws\" must be at least 1",
+            ),
+            (
+                r#"{"pattern":"random","space":0,"len":10}"#,
+                "\"space\" must be at least 1",
+            ),
+            (
+                r#"{"pattern":"loop","len":4294967295,"iterations":4294967295}"#,
+                "\"len\" × \"iterations\" is 18446744065119617025 references",
+            ),
+            (
+                r#"{"pattern":"random","len":1099511627776}"#,
+                "\"len\" is 1099511627776 references",
+            ),
+            (
+                r#"{"pattern":"loop","len":4194305,"iterations":1}"#,
+                "at most 4194304",
+            ),
+            (
+                r#"{"pattern":"phases","phases":65536,"len":65536}"#,
+                "\"phases\" × \"len\"",
+            ),
+            (
+                r#"{"pattern":"stride","stride":1,"count":1,"iterations":4194305}"#,
+                "\"count\" × \"iterations\"",
+            ),
+            (
+                r#"{"pattern":"loop","base":4294967295,"len":2}"#,
+                "\"base\" + \"len\" − 1 reaches address 0x100000000",
+            ),
+            (
+                r#"{"pattern":"stride","stride":65536,"count":65537,"iterations":1}"#,
+                "(\"count\" − 1) × \"stride\" reaches address 0x100000000",
+            ),
+            (
+                r#"{"pattern":"phases","phases":2,"len":1,"ws":2147483649}"#,
+                "\"phases\" × \"ws\" − 1 reaches address 0x100000001",
+            ),
+        ] {
+            let line = format!(r#"{{"trace":{trace},"budget":{{"misses":0}}}}"#);
+            let err = JobSpec::parse(&line).unwrap_err();
+            assert!(
+                err.to_string().contains(needle),
+                "{line} gave {err}, wanted {needle}"
+            );
+        }
+        // The limits themselves are allowed.
+        for trace in [
+            r#"{"pattern":"loop","len":4194304,"iterations":1}"#,
+            r#"{"pattern":"loop","base":4294967294,"len":2}"#,
+            r#"{"pattern":"stride","base":1,"stride":65536,"count":65536,"iterations":1}"#,
+            r#"{"pattern":"phases","phases":2,"len":1,"ws":2147483648}"#,
+            r#"{"pattern":"random","len":4194304,"space":1}"#,
+        ] {
+            let line = format!(r#"{{"trace":{trace},"budget":{{"misses":0}}}}"#);
+            assert!(JobSpec::parse(&line).is_ok(), "{line}");
         }
     }
 

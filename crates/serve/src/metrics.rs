@@ -124,9 +124,10 @@ pub struct Metrics {
     pub validations: AtomicU64,
     /// Jobs answered by loading the persistent store ([`Found::Warm`] —
     /// codec + validation, no analysis). The store tier's own counters
-    /// (probe misses, evictions, bytes) live on the `ArtifactCache` and
-    /// are merged into the [`StatsSnapshot`] by `Service::stats`; this
-    /// one is job-level and increments alongside `completed`.
+    /// (probe misses, evictions, bytes, errors) live on the
+    /// `ArtifactCache` and are merged into the [`StatsSnapshot`] by
+    /// `Service::stats`; this one is job-level and increments alongside
+    /// `completed`.
     ///
     /// [`Found::Warm`]: cachedse_store::Found::Warm
     pub store_warm: AtomicU64,
@@ -164,6 +165,7 @@ impl Metrics {
             store_misses: 0,
             store_evictions: 0,
             store_bytes: 0,
+            store_errors: 0,
             load: self.load_hist.snapshot(),
             analyze: self.analyze_hist.snapshot(),
             frontier: self.frontier_hist.snapshot(),
@@ -202,6 +204,10 @@ pub struct StatsSnapshot {
     pub store_evictions: u64,
     /// Encoded bytes currently held by the persistent store.
     pub store_bytes: u64,
+    /// Persistent-store operations that failed: corrupt or invalid
+    /// entries (rebuilt), failed saves and failed evicts, each also logged
+    /// to stderr naming its entry (filled like `store_misses`).
+    pub store_errors: u64,
     /// Trace load/generate stage latencies.
     pub load: HistogramSnapshot,
     /// Artifact-build stage latencies (cache misses only).
@@ -229,6 +235,7 @@ impl StatsSnapshot {
             ("store_misses", Value::from(self.store_misses)),
             ("store_evictions", Value::from(self.store_evictions)),
             ("store_bytes", Value::from(self.store_bytes)),
+            ("store_errors", Value::from(self.store_errors)),
             (
                 "stage_histograms_us",
                 Value::object([
@@ -246,14 +253,15 @@ impl std::fmt::Display for StatsSnapshot {
     /// The grep-friendly one-liner:
     /// `stats: accepted=… completed=… rejected=… failed=… timeouts=…
     /// cache_hits=… cache_misses=… validations=… store_hits=…
-    /// store_misses=… store_evictions=… store_bytes=…` — existing fields
-    /// keep their positions (CI greps them); store fields append.
+    /// store_misses=… store_evictions=… store_bytes=… store_errors=…` —
+    /// existing fields keep their positions (CI greps them); new fields
+    /// append.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "stats: accepted={} completed={} rejected={} failed={} timeouts={} \
              cache_hits={} cache_misses={} validations={} store_hits={} \
-             store_misses={} store_evictions={} store_bytes={}",
+             store_misses={} store_evictions={} store_bytes={} store_errors={}",
             self.accepted,
             self.completed,
             self.rejected,
@@ -265,7 +273,8 @@ impl std::fmt::Display for StatsSnapshot {
             self.store_hits,
             self.store_misses,
             self.store_evictions,
-            self.store_bytes
+            self.store_bytes,
+            self.store_errors
         )
     }
 }
@@ -319,8 +328,10 @@ mod tests {
         assert!(line.starts_with("stats: accepted=20 "));
         assert!(line.contains("cache_hits=15"));
         assert!(line.contains("cache_misses=5"));
+        assert!(line.ends_with(" store_bytes=0 store_errors=0"), "{line}");
         let json = snap.to_json();
         assert_eq!(json.get("completed").and_then(Value::as_u64), Some(19));
+        assert_eq!(json.get("store_errors").and_then(Value::as_u64), Some(0));
         assert!(json
             .get("stage_histograms_us")
             .and_then(|h| h.get("frontier"))

@@ -332,6 +332,7 @@ fn merged_stats(inner: &Inner) -> StatsSnapshot {
     snap.store_misses = inner.cache.store_misses();
     snap.store_evictions = inner.cache.evictions();
     snap.store_bytes = inner.cache.stored_bytes();
+    snap.store_errors = inner.cache.store_errors();
     snap
 }
 
@@ -516,26 +517,32 @@ pub(crate) fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
                 TraceSide::Instr => run.instr,
             })
         }
-        TraceSource::Pattern(spec) => Ok(match *spec {
-            PatternSpec::Loop {
-                base,
-                len,
-                iterations,
-            } => generate::loop_pattern(base, len, iterations),
-            PatternSpec::Stride {
-                base,
-                stride,
-                count,
-                iterations,
-            } => generate::strided(base, stride, count, iterations),
-            PatternSpec::Random { len, space, seed } => generate::uniform_random(len, space, seed),
-            PatternSpec::Phases {
-                phases,
-                len,
-                ws,
-                seed,
-            } => generate::working_set_phases(phases, len, ws, seed),
-        }),
+        TraceSource::Pattern(spec) => {
+            // Parsed specs were checked already; a spec built in code was not.
+            spec.check().map_err(|e| JobError::BadSpec(e.to_string()))?;
+            Ok(match *spec {
+                PatternSpec::Loop {
+                    base,
+                    len,
+                    iterations,
+                } => generate::loop_pattern(base, len, iterations),
+                PatternSpec::Stride {
+                    base,
+                    stride,
+                    count,
+                    iterations,
+                } => generate::strided(base, stride, count, iterations),
+                PatternSpec::Random { len, space, seed } => {
+                    generate::uniform_random(len, space, seed)
+                }
+                PatternSpec::Phases {
+                    phases,
+                    len,
+                    ws,
+                    seed,
+                } => generate::working_set_phases(phases, len, ws, seed),
+            })
+        }
     }
 }
 
@@ -625,6 +632,28 @@ mod tests {
         let (label, outcome) = service.wait(id);
         assert_eq!(label, "job-0");
         assert!(matches!(outcome.unwrap_err(), JobError::Trace(_)));
+    }
+
+    /// A pattern built in code skips the parser's checks; the worker
+    /// checks it again, so the job fails instead of panicking its worker.
+    #[test]
+    fn unchecked_pattern_is_a_bad_spec_not_a_dead_worker() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let mut spec = loop_spec("empty-space", 1, 0);
+        spec.trace = TraceSource::Pattern(PatternSpec::Phases {
+            phases: 1,
+            len: 8,
+            ws: 0,
+            seed: 1,
+        });
+        let id = service.submit(spec).unwrap();
+        let (_, outcome) = service.wait(id);
+        assert!(matches!(outcome.unwrap_err(), JobError::BadSpec(m) if m.contains("\"ws\"")));
+        let id = service.submit(loop_spec("after", 1, 0)).unwrap();
+        assert!(service.wait(id).1.is_ok(), "the worker survived");
     }
 
     #[test]

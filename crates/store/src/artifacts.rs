@@ -8,8 +8,10 @@
 //! The BCAT and MRCT are intermediates on the way to the profiles: no
 //! bundle keeps them, whichever engine built it.
 
+use std::fmt;
+
 use cachedse_core::{prepare_stripped, Engine, ExploreError};
-use cachedse_trace::digest::{Fnv1a, TraceDigest};
+use cachedse_trace::digest::TraceDigest;
 use cachedse_trace::strip::StrippedTrace;
 use cachedse_trace::Trace;
 
@@ -32,14 +34,13 @@ impl ArtifactKey {
             max_index_bits,
         }
     }
+}
 
-    /// A single `u64` folding both fields (handy for logs).
-    #[must_use]
-    pub fn fold(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.update_u64(self.digest.raw());
-        h.update_u32(self.max_index_bits);
-        h.finish()
+/// `<digest>-<max_index_bits>`, the stem of the key's disk file
+/// (`f301cd62042bc445-11`), so a log line names the entry it is about.
+impl fmt::Display for ArtifactKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}-{}", self.digest, self.max_index_bits)
     }
 }
 

@@ -9,17 +9,13 @@
 //! version          u32       2
 //! digest           u64       FNV-1a trace digest (the key)
 //! max_index_bits   u32       index-bit cap the profiles were built under
-//! flags            u32       bit 1 (profiles-only) on every entry written;
-//!                            an entry with it clear decodes the same way;
-//!                            bit 0 marked the retired tree-bearing
-//!                            format, which is rejected
+//! flags            u32       exactly 2 (bit 1, profiles-only); any other
+//!                            value is rejected
 //! address_bits     u32       width of the stripped trace's addresses
 //! stats            3 × u64   total N, unique N', max_misses
-//! engine           u32       the engine that ran: 0 depth-first, 3
-//!                            streamed (never `auto`; 1, the retired
-//!                            parallel depth-first tag, still reads as
-//!                            depth-first; 2, the retired tree-table
-//!                            engine's, is rejected)
+//! engine           u32       the engine that ran: 0 depth-first or 3
+//!                            streamed (never `auto`); any other tag is
+//!                            rejected
 //! unique           len + u32[]   unique addresses in identifier order
 //! ids              len + u32[]   the access order as identifiers
 //! profiles         len (= max_index_bits + 1), then per profile:
@@ -32,9 +28,11 @@
 //! entry is [`StoreError::Corrupt`] (named `retired tree-bearing entry
 //! format` when its flag bit 0 is set, `retired format version 1`
 //! otherwise), so the disk store quarantines it and the next job rebuilds
-//! it as version 2. The trace digest, the key fold and the hash ring keep
-//! FNV-1a: they are the content address and the ring placement, not a
-//! checksum.
+//! it as version 2. The older flag values (0, and bit 0) and engine tags
+//! (1 and 2) were written only under version 1, so a version-2 entry
+//! carrying one is crafted and refused like any unknown value. The trace
+//! digest and the hash ring keep FNV-1a: they are the content address
+//! and the ring placement, not a checksum.
 //!
 //! Array lengths are `u64` counts prefixed to each array and are checked
 //! against the bytes actually remaining **before** any allocation, so a
@@ -61,13 +59,12 @@ pub const VERSION: u32 = 2;
 /// The retired version with the same layout under a byte-wise FNV-1a
 /// checksum; its entries are rejected and rebuilt.
 const RETIRED_VERSION: u32 = 1;
-/// Flag bit 0: a tree-bearing entry from an earlier build, which appended
-/// the zero/one sets, BCAT and MRCT after the profiles. Nothing reads that
-/// block any more, so such entries are rejected and rebuilt.
+/// Flag bit 0 of a version-1 entry: a tree-bearing entry from an earlier
+/// build, which appended the zero/one sets, BCAT and MRCT after the
+/// profiles. It names the retired format in the version-1 refusal.
 const RETIRED_TREE_BIT: u32 = 1;
 /// Flag bit 1: a profiles-only entry — the stripped trace and the
-/// per-depth profiles, the only format written. An entry with neither
-/// bit decodes the same way.
+/// per-depth profiles. Every version-2 entry carries exactly this flag.
 const FLAG_PROFILES_ONLY: u32 = 1 << 1;
 /// Byte offset of the `version` word, right after the magic.
 const VERSION_AT: usize = MAGIC.len();
@@ -229,9 +226,7 @@ fn engine_code(engine: Engine) -> u32 {
 
 fn engine_from_code(code: u32) -> Result<Engine, StoreError> {
     match code {
-        // 1 tagged the depth-first engine's parallel schedule when it was
-        // its own engine; entries written then answer identically.
-        0 | 1 => Ok(Engine::DepthFirst),
+        0 => Ok(Engine::DepthFirst),
         3 => Ok(Engine::Streamed),
         other => Err(StoreError::Corrupt(format!("unknown engine code {other}"))),
     }
@@ -318,10 +313,10 @@ impl<'a> Cursor<'a> {
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] naming the first gate the bytes failed:
-/// truncation, bad magic, unsupported version, checksum mismatch, a
-/// retired or unknown flag, a lying length prefix, a profile count that
-/// disagrees with `max_index_bits`, trailing garbage, or a flat-parts
-/// constructor rejection.
+/// truncation, bad magic, a retired or unsupported version, checksum
+/// mismatch, unknown flags or engine tag, a lying length prefix, a
+/// profile count that disagrees with `max_index_bits`, trailing garbage,
+/// or a flat-parts constructor rejection.
 pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError> {
     if bytes.len() < MIN_LEN {
         return Err(StoreError::Corrupt(format!(
@@ -365,13 +360,8 @@ pub fn decode(bytes: &[u8]) -> Result<(ArtifactKey, TraceArtifacts), StoreError>
     let digest = TraceDigest::from_raw(c.u64("digest")?);
     let max_index_bits = c.u32("max_index_bits")?;
     let flags = c.u32("flags")?;
-    if flags & RETIRED_TREE_BIT != 0 {
-        return Err(StoreError::Corrupt(
-            "retired tree-bearing entry format (flag bit 0); rebuild it profiles-only".into(),
-        ));
-    }
-    if flags & !FLAG_PROFILES_ONLY != 0 {
-        return Err(StoreError::Corrupt(format!("unknown flag bits {flags:#x}")));
+    if flags != FLAG_PROFILES_ONLY {
+        return Err(StoreError::Corrupt(format!("unknown flags {flags:#x}")));
     }
     let address_bits = c.u32("address_bits")?;
     let stats = TraceStats {
@@ -535,68 +525,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn legacy_treeless_entries_without_the_flag_still_decode() {
-        let (key, artifacts) = sample(Engine::default());
-        let mut bytes = encode(&key, &artifacts);
-        // Entries written before the profiles-only bit existed carry
-        // flags = 0; clear the bit and re-seal to reproduce one.
-        bytes[FLAGS_AT..FLAGS_AT + 4].copy_from_slice(&0u32.to_le_bytes());
-        reseal(&mut bytes);
-        let (decoded_key, decoded) = decode(&bytes).unwrap();
-        assert_eq!(decoded_key, key);
-        assert_eq!(decoded, artifacts);
-    }
-
     /// Byte offset of the `engine` field: flags + address_bits + stats.
     const ENGINE_AT: usize = FLAGS_AT + 4 + 4 + 24;
 
+    /// Tag 1 named the parallel depth-first schedule and tag 2 the
+    /// tree-table engine; only version-1 builds wrote them. A version-2
+    /// entry carrying one is refused like any unknown engine, so the disk
+    /// store quarantines it and the next job rebuilds it.
     #[test]
-    fn legacy_parallel_engine_tag_reads_as_depth_first() {
+    fn retired_engine_tags_are_rejected() {
         let (key, artifacts) = sample(Engine::DepthFirst);
-        let mut bytes = encode(&key, &artifacts);
+        let bytes = encode(&key, &artifacts);
         assert_eq!(
             u32::from_le_bytes(bytes[ENGINE_AT..ENGINE_AT + 4].try_into().unwrap()),
             0,
             "depth-first writes tag 0"
         );
-        // Entries written while the parallel schedule was its own engine
-        // carry tag 1; they must stay warm, not be quarantined.
-        bytes[ENGINE_AT..ENGINE_AT + 4].copy_from_slice(&1u32.to_le_bytes());
-        reseal(&mut bytes);
-        let (decoded_key, decoded) = decode(&bytes).unwrap();
-        assert_eq!(decoded_key, key);
-        assert_eq!(decoded, artifacts);
-        assert_eq!(decoded.exploration.engine(), Engine::DepthFirst);
-    }
-
-    /// Tag 2 named the retired tree-table engine. Such an entry is refused
-    /// like any other unknown engine, so the disk store quarantines it and
-    /// the next job rebuilds it.
-    #[test]
-    fn retired_tree_table_engine_tag_is_rejected() {
-        let (key, artifacts) = sample(Engine::default());
-        let mut bytes = encode(&key, &artifacts);
-        bytes[ENGINE_AT..ENGINE_AT + 4].copy_from_slice(&2u32.to_le_bytes());
-        reseal(&mut bytes);
-        let err = decode(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Corrupt(m) if m.contains("unknown engine code 2")),
-            "{err:?}"
-        );
+        for tag in [1u32, 2] {
+            let mut bad = bytes.clone();
+            bad[ENGINE_AT..ENGINE_AT + 4].copy_from_slice(&tag.to_le_bytes());
+            reseal(&mut bad);
+            let err = decode(&bad).unwrap_err();
+            let named = format!("unknown engine code {tag}");
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains(&named)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
     fn retired_tree_bit_and_unknown_flags_are_rejected() {
         let (key, artifacts) = sample(Engine::default());
         let bytes = encode(&key, &artifacts);
+        // Flags 0 and bit 0 were written only by version-1 builds.
         for (flags, named) in [
-            (RETIRED_TREE_BIT, "retired tree-bearing"),
-            (
-                RETIRED_TREE_BIT | FLAG_PROFILES_ONLY,
-                "retired tree-bearing",
-            ),
-            (1 << 2, "unknown flag bits"),
+            (0, "unknown flags 0x0"),
+            (RETIRED_TREE_BIT, "unknown flags 0x1"),
+            (RETIRED_TREE_BIT | FLAG_PROFILES_ONLY, "unknown flags 0x3"),
+            (1 << 2, "unknown flags 0x4"),
+            (FLAG_PROFILES_ONLY | 1 << 2, "unknown flags 0x6"),
         ] {
             let mut bad = bytes.clone();
             bad[FLAGS_AT..FLAGS_AT + 4].copy_from_slice(&flags.to_le_bytes());

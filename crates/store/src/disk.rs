@@ -90,11 +90,7 @@ impl DiskStore {
     /// The on-disk path of `key`'s entry.
     #[must_use]
     pub fn path_of(&self, key: &ArtifactKey) -> PathBuf {
-        self.dir.join(format!(
-            "{:016x}-{}.{EXT}",
-            key.digest.raw(),
-            key.max_index_bits
-        ))
+        self.dir.join(format!("{key}.{EXT}"))
     }
 
     /// Moves a failed entry aside to `<name>.bad` (best-effort) and
@@ -256,6 +252,18 @@ mod tests {
         let store = DiskStore::open(&dir).unwrap();
         let (key, _) = sample(3);
         assert_eq!(key_of_path(&store.path_of(&key)), Some(key));
+        // The file stem is the key's `Display`, digest zero-padded.
+        for (raw, bits, name) in [
+            (0xf301_cd62_042b_c445, 11, "f301cd62042bc445-11.cdse"),
+            (0xab, 3, "00000000000000ab-3.cdse"),
+        ] {
+            let key = ArtifactKey {
+                digest: TraceDigest::from_raw(raw),
+                max_index_bits: bits,
+            };
+            assert_eq!(key.to_string() + ".cdse", name);
+            assert_eq!(store.path_of(&key).file_name().unwrap(), name);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -34,10 +34,7 @@ struct Slot {
 #[derive(Debug)]
 pub struct ArtifactCache {
     inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
-    store_hits: AtomicU64,
     store_misses: AtomicU64,
     store_errors: AtomicU64,
     capacity: usize,
@@ -81,10 +78,7 @@ impl ArtifactCache {
                 map: HashMap::new(),
                 order: Vec::new(),
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            store_hits: AtomicU64::new(0),
             store_misses: AtomicU64::new(0),
             store_errors: AtomicU64::new(0),
             capacity: capacity.max(1),
@@ -98,28 +92,10 @@ impl ArtifactCache {
         self.store.as_ref()
     }
 
-    /// Total in-memory hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Total misses (= analyses run) so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Total FIFO evictions so far.
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Total loads answered by the backing store ([`Found::Warm`]).
-    #[must_use]
-    pub fn store_hits(&self) -> u64 {
-        self.store_hits.load(Ordering::Relaxed)
     }
 
     /// Total backing-store lookups that found nothing.
@@ -201,13 +177,11 @@ impl ArtifactCache {
         };
         let mut guard = slot.artifacts.lock();
         if let Some(artifacts) = guard.as_ref() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(artifacts), Found::Hit));
         }
         if let Some(artifacts) = self.load_from_store(&key) {
             let artifacts = Arc::new(artifacts);
             *guard = Some(Arc::clone(&artifacts));
-            self.store_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((artifacts, Found::Warm));
         }
         match build() {
@@ -215,7 +189,6 @@ impl ArtifactCache {
                 self.save_to_store(&key, &artifacts);
                 let artifacts = Arc::new(artifacts);
                 *guard = Some(Arc::clone(&artifacts));
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 Ok((artifacts, Found::Miss))
             }
             Err(e) => {
@@ -295,7 +268,7 @@ impl ArtifactCache {
             Err(e) => {
                 self.store_errors.fetch_add(1, Ordering::Relaxed);
                 self.store_misses.fetch_add(1, Ordering::Relaxed);
-                eprintln!("cachedse-store: load {}: {e} (rebuilding)", key.fold());
+                eprintln!("cachedse-store: load {key}: {e} (rebuilding)");
                 None
             }
         }
@@ -309,10 +282,7 @@ impl ArtifactCache {
         };
         if let Err(e) = store.save(key, artifacts) {
             self.store_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "cachedse-store: save {}: {e} (entry not persisted)",
-                key.fold()
-            );
+            eprintln!("cachedse-store: save {key}: {e} (entry not persisted)");
         }
     }
 
@@ -331,7 +301,7 @@ impl ArtifactCache {
         if let Some(store) = self.store.as_ref() {
             if let Err(e) = store.remove(key) {
                 self.store_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!("cachedse-store: evict {}: {e}", key.fold());
+                eprintln!("cachedse-store: evict {key}: {e}");
             }
         }
     }
@@ -368,8 +338,6 @@ mod tests {
                 .result(MissBudget::Absolute(0))
                 .is_ok());
         }
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
     }
 
@@ -379,17 +347,12 @@ mod tests {
         let (trace_a, key_a) = key_of(1);
         let (trace_b, key_b) = key_of(2);
         assert_ne!(key_a, key_b);
-        cache
-            .get_or_build(key_a, || {
-                TraceArtifacts::build(&trace_a, key_a.max_index_bits)
-            })
-            .unwrap();
-        cache
-            .get_or_build(key_b, || {
-                TraceArtifacts::build(&trace_b, key_b.max_index_bits)
-            })
-            .unwrap();
-        assert_eq!(cache.misses(), 2);
+        for (trace, key) in [(&trace_a, key_a), (&trace_b, key_b)] {
+            let (_, found) = cache
+                .get_or_build(key, || TraceArtifacts::build(trace, key.max_index_bits))
+                .unwrap();
+            assert_eq!(found, Found::Miss);
+        }
         assert_eq!(cache.len(), 2);
     }
 
@@ -422,9 +385,10 @@ mod tests {
         let cache = ArtifactCache::new(2);
         let traces: Vec<(Trace, ArtifactKey)> = (1..=3).map(key_of).collect();
         for (trace, key) in &traces {
-            cache
+            let (_, found) = cache
                 .get_or_build(*key, || TraceArtifacts::build(trace, key.max_index_bits))
                 .unwrap();
+            assert_eq!(found, Found::Miss);
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
@@ -434,7 +398,6 @@ mod tests {
             .get_or_build(*key, || TraceArtifacts::build(trace, key.max_index_bits))
             .unwrap();
         assert_eq!(found, Found::Miss);
-        assert_eq!(cache.misses(), 4);
     }
 
     #[test]
@@ -457,19 +420,23 @@ mod tests {
         let cache = Arc::new(ArtifactCache::new(4));
         let (trace, key) = key_of(7);
         let trace = Arc::new(trace);
-        cachedse_sync::thread::scope(|s| {
-            for _ in 0..8 {
-                let cache = Arc::clone(&cache);
-                let trace = Arc::clone(&trace);
-                s.spawn(move || {
-                    cache
-                        .get_or_build(key, || TraceArtifacts::build(&trace, key.max_index_bits))
-                        .unwrap();
-                });
-            }
+        let found: Vec<Found> = cachedse_sync::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    let cache = Arc::clone(&cache);
+                    let trace = Arc::clone(&trace);
+                    s.spawn(move || {
+                        cache
+                            .get_or_build(key, || TraceArtifacts::build(&trace, key.max_index_bits))
+                            .unwrap()
+                            .1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 7);
+        assert_eq!(found.iter().filter(|&&f| f == Found::Miss).count(), 1);
+        assert_eq!(found.iter().filter(|&&f| f == Found::Hit).count(), 7);
     }
 
     #[test]
@@ -486,11 +453,12 @@ mod tests {
         assert_eq!(found, Found::Miss);
         assert_eq!(store.len(), 1, "write-through persisted the build");
         // Evict key_a from memory by inserting key_b (capacity 1)…
-        cache
+        let (_, found) = cache
             .get_or_build(key_b, || {
                 TraceArtifacts::build(&trace_b, key_b.max_index_bits)
             })
             .unwrap();
+        assert_eq!(found, Found::Miss);
         assert_eq!(cache.evictions(), 1);
         // …then key_a warm-loads from the store instead of rebuilding.
         let (_, found) = cache
@@ -499,8 +467,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(found, Found::Warm);
-        assert_eq!(cache.store_hits(), 1);
-        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

@@ -50,10 +50,14 @@ impl Address {
     }
 
     /// The address shifted right by `line_bits`, i.e. the block number for a
-    /// line of `2^line_bits` words.
+    /// line of `2^line_bits` words. A line of `2^32` words or more holds the
+    /// whole address space, so every address is in block 0.
     #[must_use]
     pub const fn block(self, line_bits: u32) -> Self {
-        Self(self.0 >> line_bits)
+        match self.0.checked_shr(line_bits) {
+            Some(block) => Self(block),
+            None => Self(0),
+        }
     }
 
     /// Number of significant bits (at least 1).
@@ -141,6 +145,14 @@ mod tests {
     fn block_truncates_low_bits() {
         assert_eq!(Address::new(0b1011).block(2), Address::new(0b10));
         assert_eq!(Address::new(7).block(0), Address::new(7));
+    }
+
+    #[test]
+    fn lines_of_the_whole_address_space_are_block_zero() {
+        assert_eq!(Address::new(u32::MAX).block(31), Address::new(1));
+        for line_bits in [32, 40, u32::MAX] {
+            assert_eq!(Address::new(u32::MAX).block(line_bits), Address::new(0));
+        }
     }
 
     #[test]

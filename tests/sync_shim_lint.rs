@@ -5,8 +5,8 @@
 //! `std::sync` mutex/condvar or a raw `std::thread` spawn/scope anywhere
 //! else compiles fine and runs fine — and silently removes those
 //! interactions from every schedule the explorer enumerates. This test
-//! (and its CI twin, `tools/check_sync_shim.sh`) turns that silent gap
-//! into a red build.
+//! turns that silent gap into a red build; CI runs it as its own
+//! `sync-shim-lint` job (`cargo test --test sync_shim_lint`).
 //!
 //! The forbidden patterns are assembled by string concatenation so this
 //! file never matches itself.
@@ -63,8 +63,7 @@ fn every_workspace_crate_is_inside_the_scanned_tree() {
         assert!(
             path.starts_with("crates/"),
             "workspace crate at '{path}' is outside crates/ — the sync-shim \
-             lint does not scan it; move it or extend the scan here and in \
-             tools/check_sync_shim.sh"
+             lint does not scan it; move it or extend the scan here"
         );
     }
     assert!(
