@@ -30,6 +30,10 @@ pub enum ArgError {
     },
     /// A required positional argument is missing.
     MissingPositional(&'static str),
+    /// The command does not take this option.
+    Unknown(String),
+    /// The option was removed; the message says what replaced it.
+    Retired(&'static str),
 }
 
 impl std::fmt::Display for ArgError {
@@ -41,38 +45,78 @@ impl std::fmt::Display for ArgError {
                 write!(f, "invalid value {value:?} for --{option}")
             }
             Self::MissingPositional(name) => write!(f, "missing <{name}> argument"),
+            Self::Unknown(o) => write!(f, "unknown option --{o}; see `cachedse --help`"),
+            Self::Retired(message) => f.write_str(message),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Options that never take a value. `model` is retired but stays bare, so
-/// `check --model <trace>` is refused by name rather than reading the
-/// trace path as its value.
-const BARE_FLAGS: [&str; 5] = ["verify", "help", "quiet", "validate", "model"];
+/// Options that never take a value.
+const BARE_FLAGS: [&str; 3] = ["verify", "quiet", "validate"];
+
+/// Removed options and the messages that refuse them, on every command
+/// and before any value is read: `check --model <trace>` names the
+/// retirement instead of taking the trace path as a value.
+const RETIRED: [(&str, &str); 4] = [
+    (
+        "engine",
+        "--engine is retired: the engine is now chosen per trace \
+         (`explore --format json` reports which one ran)",
+    ),
+    (
+        "join",
+        "--join is retired: serve runs as one node, and --store-dir keeps \
+         its analyses across restarts",
+    ),
+    (
+        "advertise",
+        "--advertise is retired: serve runs as one node, and --store-dir \
+         keeps its analyses across restarts",
+    ),
+    (
+        "model",
+        "check --model is retired: run the model scenarios with \
+         RUSTFLAGS=\"--cfg cachedse_model\" cargo test -p cachedse \
+         --test model_serve --test model_dfs --test model_store \
+         --test model_streamed",
+    ),
+];
 
 impl Args {
-    /// Parses raw arguments (without the program/subcommand names).
+    /// Parses raw arguments (without the program/subcommand names),
+    /// accepting only the options named in `allowed`.
     ///
     /// # Errors
     ///
-    /// [`ArgError::MissingValue`] if a value-taking option ends the line.
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
+    /// [`ArgError::Retired`] or [`ArgError::Unknown`] for an option outside
+    /// `allowed`, [`ArgError::MissingValue`] if a value-taking option ends
+    /// the line.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        raw: I,
+        allowed: &[&str],
+    ) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter();
         while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                if BARE_FLAGS.contains(&name) {
-                    args.flags.push(name.to_owned());
-                } else {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| ArgError::MissingValue(name.to_owned()))?;
-                    args.options.insert(name.to_owned(), value);
-                }
-            } else {
+            let Some(name) = arg.strip_prefix("--") else {
                 args.positionals.push(arg);
+                continue;
+            };
+            if let Some(&(_, message)) = RETIRED.iter().find(|(retired, _)| *retired == name) {
+                return Err(ArgError::Retired(message));
+            }
+            if !allowed.contains(&name) {
+                return Err(ArgError::Unknown(name.to_owned()));
+            }
+            if BARE_FLAGS.contains(&name) {
+                args.flags.push(name.to_owned());
+            } else {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| ArgError::MissingValue(name.to_owned()))?;
+                args.options.insert(name.to_owned(), value);
             }
         }
         Ok(args)
@@ -142,8 +186,14 @@ impl Args {
 mod tests {
     use super::*;
 
+    const ALLOWED: [&str; 5] = ["depth", "assoc", "line-bits", "misses", "verify"];
+
+    fn try_parse(line: &str) -> Result<Args, ArgError> {
+        Args::parse(line.split_whitespace().map(str::to_owned), &ALLOWED)
+    }
+
     fn parse(line: &str) -> Args {
-        Args::parse(line.split_whitespace().map(str::to_owned)).unwrap()
+        try_parse(line).unwrap()
     }
 
     #[test]
@@ -164,7 +214,7 @@ mod tests {
 
     #[test]
     fn missing_value_error() {
-        let err = Args::parse(["--depth".to_owned()]).unwrap_err();
+        let err = try_parse("--depth").unwrap_err();
         assert_eq!(err, ArgError::MissingValue("depth".to_owned()));
     }
 

@@ -1,26 +1,6 @@
 //! `cachedse` — analytical cache design space exploration from the command
-//! line.
-//!
-//! ```text
-//! cachedse gen --workload crc --out crc.din [--side data|instr]
-//! cachedse gen --pattern loop --len 64 --iterations 100 --out loop.din
-//! cachedse stats trace.din
-//! cachedse simulate trace.din --depth 64 --assoc 2 [--policy lru] [--line-bits 0]
-//! cachedse explore trace.din (--misses K | --fraction F) [--max-bits B]
-//!                            [--threads N] [--verify] [--format json]
-//! cachedse sweep trace.din [--max-bits B]        # the paper's K-grid table
-//! cachedse check trace.din [--misses K | --fraction F] [--max-bits B]
-//!                          [--inject-fault <kind>] [--quiet] [--format json]
-//! cachedse batch [jobs.jsonl] [--workers N] [--queue N] [--cache N]
-//!                [--threads N] [--timeout-ms MS] [--validate]
-//!                [--store-dir DIR]               # JSONL jobs in, results out
-//! cachedse serve [--bind HOST:PORT] [--workers N] [--queue N] [--cache N]
-//!                [--threads N] [--timeout-ms MS] [--validate]
-//!                [--store-dir DIR]               # persistent artifact store
-//!                [--join HOST:PORT[,HOST:PORT…]] # enter a shard ring
-//!                [--advertise HOST:PORT]         # address peers dial back
-//! cachedse workloads                             # list the kernels
-//! ```
+//! line. [`USAGE`] lists every command with its options; a command refuses
+//! any option not listed for it in [`COMMANDS`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,28 +13,68 @@ use std::process::ExitCode;
 
 use cachedse_core::{verify, DesignSpaceExplorer, Engine, MissBudget};
 use cachedse_json::Value;
+use cachedse_serve::PatternSpec;
 use cachedse_sim::{simulate, CacheConfig, Replacement, WritePolicy};
 use cachedse_trace::stats::TraceStats;
-use cachedse_trace::{generate, io::read_din, io::write_din, Trace};
+use cachedse_trace::{io::read_din, io::write_din, Trace};
 
 use args::Args;
 
 const USAGE: &str = "\
 usage: cachedse <command> [options]
 
-commands:
-  gen        generate a trace (--workload <name> | --pattern <kind>) --out <file>
-  stats      print N, N', and max misses of a trace
-  simulate   run a trace through one cache configuration
-  explore    compute the optimal (depth, associativity) set analytically
+  gen        generate a trace, to --out FILE or stdout
+               --workload NAME [--side data|instr] [--seed S]
+               --pattern loop|stride|random|phases [--len N] [--iterations N]
+                 [--base A] [--stride S] [--count N] [--space N] [--phases N]
+                 [--ws N] [--seed S]   (at most 2^22 references)
+  stats      print N, N', and max misses of a TRACE
+  simulate   run a TRACE through one cache configuration
+               --depth D [--assoc A] [--policy lru|fifo|random|plru]
+               [--write-policy wb|wt|wtna]
+  explore    compute the optimal (depth, associativity) set of a TRACE
+               (--misses K | --fraction F) [--max-bits B] [--threads N]
+               [--verify] [--format text|json]
   sweep      print the paper-style table for K in {5,10,15,20}%
+               [--max-bits B]
   rank       order the budget-satisfying configurations by dynamic energy
-  check      statically verify every pipeline invariant on a trace
-  batch      run JSONL job specs through the shared-artifact worker pool
+               [--misses K | --fraction F] [--max-bits B]
+  check      statically verify every pipeline invariant on a TRACE
+               [--misses K | --fraction F] [--max-bits B]
+               [--inject-fault KIND] [--quiet] [--format text|json]
+  batch      run JSONL job specs (a file, or stdin) through the
+             shared-artifact worker pool
+               [--workers N] [--queue N] [--cache N] [--threads N]
+               [--timeout-ms MS] [--validate] [--store-dir DIR]
   serve      answer JSONL jobs over TCP until told to shut down
+               [--bind HOST:PORT] and the options of batch
   workloads  list the embedded benchmark kernels
 
-run `cachedse <command> --help` for details.";
+Every command that reads a TRACE also takes --line-bits B. `--help` after
+any command prints this text.";
+
+type Run = fn(&Args) -> CliResult;
+
+/// Every command, the function that runs it, and the options it accepts;
+/// [`Args::parse`] refuses any other.
+#[rustfmt::skip]
+const COMMANDS: [(&str, Run, &[&str]); 10] = [
+    ("gen", cmd_gen, &["workload", "side", "seed", "pattern", "base", "len", "iterations",
+                       "stride", "count", "space", "phases", "ws", "out"]),
+    ("stats", cmd_stats, &["line-bits"]),
+    ("simulate", cmd_simulate, &["depth", "assoc", "policy", "write-policy", "line-bits"]),
+    ("explore", cmd_explore, &["misses", "fraction", "max-bits", "threads", "verify", "format",
+                               "line-bits"]),
+    ("sweep", cmd_sweep, &["max-bits", "line-bits"]),
+    ("rank", cmd_rank, &["misses", "fraction", "max-bits", "line-bits"]),
+    ("check", cmd_check, &["misses", "fraction", "max-bits", "inject-fault", "quiet", "format",
+                           "line-bits"]),
+    ("batch", cmd_batch, &["workers", "queue", "cache", "threads", "timeout-ms", "validate",
+                           "store-dir"]),
+    ("serve", cmd_serve, &["workers", "queue", "cache", "threads", "timeout-ms", "validate",
+                           "store-dir", "bind"]),
+    ("workloads", cmd_workloads, &[]),
+];
 
 fn main() -> ExitCode {
     // A downstream consumer closing the pipe (`cachedse explore ... | head`)
@@ -74,43 +94,20 @@ fn main() -> ExitCode {
         default_hook(info);
     }));
 
-    let mut argv = std::env::args().skip(1);
-    let Some(command) = argv.next() else {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = argv.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let args = match Args::parse(argv) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cachedse: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // `Args` ignores unknown options, and a silently ignored `--engine`
-    // would mislead anyone timing one engine against the other.
-    if args.opt_str("engine").is_some() {
-        eprintln!(
-            "cachedse: --engine is retired: the engine is now chosen per trace \
-             (`explore --format json` reports which one ran)"
-        );
-        return ExitCode::FAILURE;
+    if name == "help" || argv.iter().any(|arg| arg == "--help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
-    let result = match command.as_str() {
-        "gen" => cmd_gen(&args),
-        "stats" => cmd_stats(&args),
-        "simulate" => cmd_simulate(&args),
-        "explore" => cmd_explore(&args),
-        "sweep" => cmd_sweep(&args),
-        "rank" => cmd_rank(&args),
-        "check" => cmd_check(&args),
-        "batch" => cmd_batch(&args),
-        "serve" => cmd_serve(&args),
-        "workloads" => cmd_workloads(),
-        "--help" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
+    let result = match COMMANDS.iter().find(|(command, ..)| command == name) {
+        Some((_, run, options)) => Args::parse(rest.iter().cloned(), options)
+            .map_err(Into::into)
+            .and_then(|args| run(&args)),
+        None => Err(format!("unknown command {name:?}\n{USAGE}").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -148,29 +145,29 @@ fn cmd_gen(args: &Args) -> CliResult {
             other => return Err(format!("--side must be data or instr, got {other:?}").into()),
         }
     } else {
-        match args.opt_str("pattern") {
-            Some("loop") => generate::loop_pattern(
-                args.opt_or("base", 0)?,
-                args.required("len")?,
-                args.opt_or("iterations", 100)?,
-            ),
-            Some("stride") => generate::strided(
-                args.opt_or("base", 0)?,
-                args.required("stride")?,
-                args.required("count")?,
-                args.opt_or("iterations", 100)?,
-            ),
-            Some("random") => generate::uniform_random(
-                args.opt_or("len", 100_000)?,
-                args.opt_or("space", 1 << 16)?,
-                args.opt_or("seed", 1)?,
-            ),
-            Some("phases") => generate::working_set_phases(
-                args.opt_or("phases", 8)?,
-                args.opt_or("len", 10_000)?,
-                args.opt_or("ws", 256)?,
-                args.opt_or("seed", 1)?,
-            ),
+        let pattern = match args.opt_str("pattern") {
+            Some("loop") => PatternSpec::Loop {
+                base: args.opt_or("base", 0)?,
+                len: args.required("len")?,
+                iterations: args.opt_or("iterations", 100)?,
+            },
+            Some("stride") => PatternSpec::Stride {
+                base: args.opt_or("base", 0)?,
+                stride: args.required("stride")?,
+                count: args.required("count")?,
+                iterations: args.opt_or("iterations", 100)?,
+            },
+            Some("random") => PatternSpec::Random {
+                len: args.opt_or("len", 100_000)?,
+                space: args.opt_or("space", 1 << 16)?,
+                seed: args.opt_or("seed", 1)?,
+            },
+            Some("phases") => PatternSpec::Phases {
+                phases: args.opt_or("phases", 8)?,
+                len: args.opt_or("len", 10_000)?,
+                ws: args.opt_or("ws", 256)?,
+                seed: args.opt_or("seed", 1)?,
+            },
             Some(other) => {
                 return Err(format!(
                     "unknown pattern {other:?}; expected loop|stride|random|phases"
@@ -178,7 +175,11 @@ fn cmd_gen(args: &Args) -> CliResult {
                 .into())
             }
             None => return Err("gen needs --workload <name> or --pattern <kind>".into()),
-        }
+        };
+        // The job-spec rules: a pattern a job could not run, `gen` refuses.
+        pattern
+            .generate()
+            .map_err(|e| format!("bad --pattern: {e}"))?
     };
     match args.opt_str("out") {
         Some(path) => {
@@ -387,16 +388,6 @@ fn cmd_rank(args: &Args) -> CliResult {
 
 fn cmd_check(args: &Args) -> CliResult {
     use cachedse_check::{check_pipeline, CheckOptions};
-    // Refused by name even when a trace follows: running the artifact
-    // check instead would let a stale script pass without exploring any
-    // schedule.
-    if args.flag("model") {
-        return Err("check --model is retired: run the model scenarios with \
-                    RUSTFLAGS=\"--cfg cachedse_model\" cargo test -p cachedse \
-                    --test model_serve --test model_dfs --test model_store \
-                    --test model_streamed"
-            .into());
-    }
     let trace = load_trace(args)?;
     let budgets = match (args.opt::<u64>("misses")?, args.opt::<f64>("fraction")?) {
         (Some(k), None) => vec![MissBudget::Absolute(k)],
@@ -496,37 +487,31 @@ fn cmd_serve(args: &Args) -> CliResult {
     let bind = args.opt_str("bind").unwrap_or("127.0.0.1:7333");
     let listener =
         std::net::TcpListener::bind(bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;
-    let local = listener.local_addr()?;
     // The resolved address matters when the caller asked for port 0.
-    eprintln!("listening on {local}");
-    // `--join` and/or `--advertise` turn the node into a ring member:
-    // `--join` names existing members (comma-separated), `--advertise`
-    // the address peers dial back (defaults to the bound address —
-    // override it when binding a wildcard interface).
-    let join: Vec<String> = args
-        .opt_str("join")
-        .into_iter()
-        .flat_map(|list| list.split(','))
-        .map(str::trim)
-        .filter(|addr| !addr.is_empty())
-        .map(str::to_owned)
-        .collect();
-    let advertise = args.opt_str("advertise").map(str::to_owned);
-    let shard = (!join.is_empty() || advertise.is_some()).then(|| cachedse_serve::ShardOptions {
-        advertise: advertise.unwrap_or_else(|| local.to_string()),
-        join,
-    });
-    if let Some(shard) = &shard {
-        eprintln!("shard member {} joining {:?}", shard.advertise, shard.join);
-    }
-    let stats = cachedse_serve::serve_with(listener, config, shard)?;
+    eprintln!("listening on {}", listener.local_addr()?);
+    let stats = cachedse_serve::serve(listener, config)?;
     eprintln!("{stats}");
     Ok(())
 }
 
-fn cmd_workloads() -> CliResult {
+fn cmd_workloads(_: &Args) -> CliResult {
     for kernel in cachedse_workloads::all() {
         println!("{}", kernel.name());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{COMMANDS, USAGE};
+
+    #[test]
+    fn usage_names_every_accepted_option() {
+        for (name, _, options) in COMMANDS {
+            for option in options {
+                let listed = |end| USAGE.contains(&format!("--{option}{end}"));
+                assert!(listed(' ') || listed(']'), "{name} --{option}");
+            }
+        }
+    }
 }

@@ -69,12 +69,14 @@ fn job(id: &str, budget: u64) -> String {
     )
 }
 
+/// `--queue 0` admits like `--queue 1` rather than blocking the first
+/// job forever.
 #[test]
 fn batch_shares_one_analysis_across_budgets() {
     let jobs: String = (0..5)
         .map(|k| job(&format!("k{k}"), k * 8) + "\n")
         .collect();
-    let out = cachedse_stdin(&["batch", "-", "--workers", "2"], &jobs);
+    let out = cachedse_within_a_minute(&["batch", "-", "--workers", "2", "--queue", "0"], &jobs);
     assert!(out.status.success(), "{}", stderr(&out));
     let lines: Vec<Value> = stdout(&out)
         .lines()

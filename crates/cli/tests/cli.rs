@@ -1,13 +1,30 @@
 //! Black-box tests of the `cachedse` binary.
 
 use std::io::Write as _;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
+/// Runs `cachedse` with stdin closed, failing the test if it still runs
+/// after 30 s (a `serve` that should have refused its options listens).
+/// Its output must fit the pipe buffers: nothing reads them before exit.
 fn cachedse(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_cachedse"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cachedse"))
         .args(args)
-        .output()
-        .expect("binary runs")
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("poll the child").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cachedse {args:?} was still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
 }
 
 fn write_trace(lines: &str) -> tempfile::TempPath {
@@ -308,9 +325,68 @@ fn threads_match_serial_on_a_depth_first_trace() {
     assert_eq!(stdout(&serial), stdout(&parallel));
 }
 
+/// `gen` refuses an unknown kernel, and a pattern the job-spec rules
+/// refuse, with a one-line error rather than a panic.
 #[test]
-fn unknown_workload_is_a_clean_error() {
+fn gen_refuses_what_it_cannot_generate() {
     let out = cachedse(&["gen", "--workload", "doom"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown workload"));
+
+    let out = cachedse(&["gen", "--pattern", "phases", "--ws", "0", "--len", "10"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(
+        stderr(&out),
+        "cachedse: bad --pattern: \"ws\" must be at least 1\n"
+    );
+}
+
+/// Every command refuses an option it does not take, by name, whether or
+/// not a value follows, before it does anything else; and `--help` after
+/// any command prints the usage and exits 0 without running it (`serve
+/// --help` starts no server).
+#[test]
+fn every_command_refuses_unknown_options_and_answers_help() {
+    let path = write_trace("0 b\n0 c\n0 b\n");
+    let trace = path.to_str().unwrap();
+    let commands: [&[&str]; 10] = [
+        &["gen", "--pattern", "loop", "--len", "4"],
+        &["stats", trace],
+        &["simulate", trace, "--depth", "2"],
+        &["explore", trace, "--misses", "0"],
+        &["sweep", trace],
+        &["rank", trace],
+        &["check", trace],
+        &["batch", "-"],
+        &["serve", "--bind", "127.0.0.1:0"],
+        &["workloads"],
+    ];
+    for command in commands {
+        for bogus in [&["--bogus", "1"][..], &["--bogus"]] {
+            let out = cachedse(&[command, bogus].concat());
+            assert_eq!(out.status.code(), Some(1), "{command:?} {bogus:?}");
+            assert!(stdout(&out).is_empty(), "{command:?}: {}", stdout(&out));
+            assert_eq!(
+                stderr(&out),
+                "cachedse: unknown option --bogus; see `cachedse --help`\n",
+                "{command:?} {bogus:?}"
+            );
+        }
+        let out = cachedse(&[command, &["--help"]].concat());
+        assert_eq!(out.status.code(), Some(0), "{command:?}: {}", stderr(&out));
+        assert!(stdout(&out).starts_with("usage: cachedse"), "{command:?}");
+        assert!(stderr(&out).is_empty(), "{command:?}: {}", stderr(&out));
+    }
+}
+
+/// The shard tier is gone: `serve --join` and `--advertise` are refused
+/// by name instead of dialling a peer.
+#[test]
+fn serve_refuses_the_retired_shard_options() {
+    for option in ["--join", "--advertise"] {
+        let out = cachedse(&["serve", "--bind", "127.0.0.1:0", option, "127.0.0.1:1"]);
+        assert_eq!(out.status.code(), Some(1), "{option}");
+        let retired = format!("cachedse: {option} is retired: serve runs as one node");
+        assert!(stderr(&out).starts_with(&retired), "{}", stderr(&out));
+    }
 }

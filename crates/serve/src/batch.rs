@@ -4,14 +4,15 @@
 //! and blank lines ignored), submits them all with blocking admission (so
 //! the queue bound throttles rather than rejects), and writes exactly one
 //! result line per input line **in input order**, regardless of the order
-//! workers finish in. Malformed spec lines do not abort the batch — they
-//! yield a structured `bad-spec` error line in their slot. A final
-//! `stats: …` summary goes to the provided status sink (the CLI points it
-//! at stderr so stdout stays pure JSONL).
+//! workers finish in. Malformed spec lines, and lines past the 64 KiB line
+//! cap, do not abort the batch — they yield a structured `bad-spec` error
+//! line in their slot. A final `stats: …` summary goes to the provided
+//! status sink (the CLI points it at stderr so stdout stays pure JSONL).
 
 use std::io::{BufRead, Write};
 
 use crate::job::{outcome_json, JobError, JobSpec};
+use crate::line::{Line, LineReader};
 use crate::metrics::StatsSnapshot;
 use crate::service::{JobId, Service, ServiceConfig};
 
@@ -60,13 +61,18 @@ pub fn run_batch(
 ) -> std::io::Result<BatchSummary> {
     let service = Service::start(config);
     let mut slots: Vec<Slot> = Vec::new();
-    for (index, line) in input.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let slot = match JobSpec::parse(trimmed) {
+    for (index, line) in LineReader::new(input).enumerate() {
+        let spec = match line? {
+            Line::Text(line) => {
+                let trimmed = line.trim();
+                if trimmed.is_empty() || trimmed.starts_with('#') {
+                    continue;
+                }
+                JobSpec::parse(trimmed).map_err(|e| e.to_string())
+            }
+            Line::Refused(detail) => Err(detail),
+        };
+        let slot = match spec {
             Ok(mut spec) => {
                 if spec.id.is_none() {
                     spec.id = Some(format!("job-{index}"));
@@ -77,10 +83,9 @@ pub fn run_batch(
                     Err(e) => Slot::Immediate(label, e),
                 }
             }
-            Err(e) => Slot::Immediate(
-                format!("line-{}", index + 1),
-                JobError::BadSpec(e.to_string()),
-            ),
+            Err(detail) => {
+                Slot::Immediate(format!("line-{}", index + 1), JobError::BadSpec(detail))
+            }
         };
         slots.push(slot);
     }
@@ -161,17 +166,21 @@ mod tests {
 
     #[test]
     fn malformed_lines_become_bad_spec_results_in_place() {
-        let input = "\
-{\"id\":\"good\",\"trace\":{\"pattern\":\"loop\",\"len\":32,\"iterations\":5},\"budget\":{\"misses\":0}}\n\
-this is not json\n\
-{\"trace\":{\"file\":\"x\"}}\n";
-        let (summary, values, _) = run(input, ServiceConfig::default());
-        assert_eq!(summary.jobs, 3);
-        assert_eq!(summary.succeeded, 1);
-        assert_eq!(summary.failed, 2);
+        let good = "{\"id\":\"good\",\"trace\":{\"pattern\":\"loop\",\"len\":32,\"iterations\":5},\
+                    \"budget\":{\"misses\":0}}";
+        // A valid spec, refused for its length alone.
+        let over_cap = good.replace("good", &"x".repeat(70_000));
+        let input = format!(
+            "{good}\nthis is not json\n{{\"trace\":{{\"file\":\"x\"}}}}\n{over_cap}\n{good}\n"
+        );
+        let (summary, values, _) = run(&input, ServiceConfig::default());
+        assert_eq!(summary.jobs, 5);
+        assert_eq!(summary.succeeded, 2);
+        assert_eq!(summary.failed, 3);
         assert!(!summary.all_ok());
         assert_eq!(values[0].get("ok").and_then(Value::as_bool), Some(true));
-        for bad in &values[1..] {
+        assert_eq!(values[4].get("ok").and_then(Value::as_bool), Some(true));
+        for bad in &values[1..4] {
             assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
             assert_eq!(
                 bad.get("error")
@@ -182,6 +191,11 @@ this is not json\n\
         }
         // The malformed lines carry their 1-based input line number.
         assert_eq!(values[1].get("id").and_then(Value::as_str), Some("line-2"));
+        assert!(
+            values[3].render().contains("line longer than 65536 bytes"),
+            "{}",
+            values[3].render()
+        );
     }
 
     #[test]

@@ -40,6 +40,7 @@ use cachedse_core::{ExplorationResult, ExploreError, MissBudget};
 use cachedse_json::Value;
 use cachedse_store::Found;
 use cachedse_trace::digest::TraceDigest;
+use cachedse_trace::{generate, Trace};
 
 /// Where a job's trace comes from.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,8 +84,8 @@ pub enum TraceSide {
     Instr,
 }
 
-/// A synthetic trace generator and its parameters (defaults mirror the CLI
-/// `gen` subcommand).
+/// A synthetic trace generator and its parameters. Job specs and the CLI
+/// `gen` subcommand fill omitted fields with the same defaults.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PatternSpec {
     /// `generate::loop_pattern(base, len, iterations)`.
@@ -135,6 +136,35 @@ pub enum PatternSpec {
 const MAX_PATTERN_REFS: u64 = 1 << 22;
 
 impl PatternSpec {
+    /// Checks the parameters, then runs the generator.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError`] naming the fields the generator cannot honour.
+    pub fn generate(&self) -> Result<Trace, SpecError> {
+        self.check()?;
+        Ok(match *self {
+            Self::Loop {
+                base,
+                len,
+                iterations,
+            } => generate::loop_pattern(base, len, iterations),
+            Self::Stride {
+                base,
+                stride,
+                count,
+                iterations,
+            } => generate::strided(base, stride, count, iterations),
+            Self::Random { len, space, seed } => generate::uniform_random(len, space, seed),
+            Self::Phases {
+                phases,
+                len,
+                ws,
+                seed,
+            } => generate::working_set_phases(phases, len, ws, seed),
+        })
+    }
+
     /// Refuses what the generator cannot honour: an empty address space,
     /// more than [`MAX_PATTERN_REFS`] references, or an address past the
     /// 32-bit space. Each refusal names the fields it checked. Counts and
@@ -597,10 +627,9 @@ pub enum JobError {
         /// The configured queue bound.
         depth: usize,
     },
-    /// Cached artifacts failed re-validation (`--validate` mode), or a
-    /// pushed bundle failed its decode gates.
+    /// Cached artifacts failed re-validation (`--validate` mode).
     ArtifactCorrupt(
-        /// The depths whose profiles differ, or the decode error.
+        /// The depths whose profiles differ.
         String,
     ),
     /// A digest-referenced job named a trace nobody has analyzed: the

@@ -57,6 +57,7 @@
 pub mod batch;
 pub mod cache;
 pub mod job;
+mod line;
 pub mod metrics;
 pub mod net;
 pub mod service;
@@ -68,5 +69,5 @@ pub use job::{
     TraceSource,
 };
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, Stage, StatsSnapshot};
-pub use net::{serve, serve_with, ShardOptions};
+pub use net::serve;
 pub use service::{JobId, Service, ServiceConfig};

@@ -33,10 +33,10 @@ use cachedse_sync::atomic::{AtomicBool, Ordering};
 use cachedse_sync::thread::{self, JoinHandle};
 use cachedse_sync::{Condvar, Mutex};
 use cachedse_trace::io::read_din;
-use cachedse_trace::{generate, Trace};
+use cachedse_trace::Trace;
 
 use crate::cache::{ArtifactCache, ArtifactKey, Found, TraceArtifacts};
-use crate::job::{JobError, JobOutcome, JobOutput, JobSpec, PatternSpec, TraceSide, TraceSource};
+use crate::job::{JobError, JobOutcome, JobOutput, JobSpec, TraceSide, TraceSource};
 use crate::metrics::{Metrics, Stage, StatsSnapshot};
 
 /// Service sizing and policy knobs.
@@ -44,8 +44,8 @@ use crate::metrics::{Metrics, Stage, StatsSnapshot};
 pub struct ServiceConfig {
     /// Worker threads in the pool (minimum 1).
     pub workers: usize,
-    /// Maximum queued (not yet running) jobs; [`Service::submit`] rejects
-    /// beyond this.
+    /// Maximum queued (not yet running) jobs (minimum 1);
+    /// [`Service::submit`] rejects beyond this.
     pub queue_depth: usize,
     /// Maximum distinct traces kept in the artifact cache.
     pub cache_capacity: usize,
@@ -143,8 +143,11 @@ impl std::fmt::Debug for Service {
 impl Service {
     /// Starts the worker pool.
     #[must_use]
-    pub fn start(config: ServiceConfig) -> Self {
+    pub fn start(mut config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
+        // A bound of 0 could never admit a job: `submit` would always
+        // answer `queue-full` and `submit_blocking` would wait forever.
+        config.queue_depth = config.queue_depth.max(1);
         let cache = match config.store.clone() {
             Some(store) => ArtifactCache::with_store(config.cache_capacity, store),
             None => ArtifactCache::new(config.cache_capacity),
@@ -285,8 +288,7 @@ impl Service {
         self.inner.cache.len()
     }
 
-    /// The shared artifact cache — the sharded serve tier uses this to
-    /// answer peer `artifact_get`/`artifact_put` requests directly.
+    /// The shared artifact cache, for tests that inspect or seed it.
     #[must_use]
     pub fn cache(&self) -> &ArtifactCache {
         &self.inner.cache
@@ -494,7 +496,7 @@ fn validate_profiles(
     )))
 }
 
-pub(crate) fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
+fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
     match source {
         // Digest specs never reach here: `run_job` resolves them against
         // the cache/store instead of loading a trace.
@@ -517,38 +519,17 @@ pub(crate) fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
                 TraceSide::Instr => run.instr,
             })
         }
-        TraceSource::Pattern(spec) => {
-            // Parsed specs were checked already; a spec built in code was not.
-            spec.check().map_err(|e| JobError::BadSpec(e.to_string()))?;
-            Ok(match *spec {
-                PatternSpec::Loop {
-                    base,
-                    len,
-                    iterations,
-                } => generate::loop_pattern(base, len, iterations),
-                PatternSpec::Stride {
-                    base,
-                    stride,
-                    count,
-                    iterations,
-                } => generate::strided(base, stride, count, iterations),
-                PatternSpec::Random { len, space, seed } => {
-                    generate::uniform_random(len, space, seed)
-                }
-                PatternSpec::Phases {
-                    phases,
-                    len,
-                    ws,
-                    seed,
-                } => generate::working_set_phases(phases, len, ws, seed),
-            })
-        }
+        // Parsed specs were checked already; a spec built in code was not.
+        TraceSource::Pattern(spec) => spec
+            .generate()
+            .map_err(|e| JobError::BadSpec(e.to_string())),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::PatternSpec;
     use cachedse_core::MissBudget;
 
     fn loop_spec(id: &str, iterations: u32, budget: u64) -> JobSpec {
@@ -773,13 +754,14 @@ mod tests {
         assert!(inject_profiles(&mut profiles, FaultKind::StreamedCountSkew));
         let exploration =
             Exploration::from_parts(profiles, built.exploration.stats(), Engine::Streamed).unwrap();
-        service.cache().insert(
-            key,
-            TraceArtifacts {
-                exploration,
-                ..built
-            },
-        );
+        let skewed = TraceArtifacts {
+            exploration,
+            ..built
+        };
+        service
+            .cache()
+            .get_or_build(key, || Ok::<_, JobError>(skewed))
+            .unwrap();
 
         let spec = JobSpec {
             trace: TraceSource::Digest(key.digest),

@@ -1,7 +1,8 @@
 //! TCP serve-mode robustness: one scripted client session drives the
-//! server through a malformed request, a deterministic job timeout, queue
-//! saturation, and a stats query — the connection and the worker pool must
-//! survive all of it, and shutdown must return clean final stats.
+//! server through malformed and over-long requests, a deterministic job
+//! timeout, queue saturation, and a stats query — the connection and the
+//! worker pool must survive all of it, and shutdown must return clean
+//! final stats.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -36,6 +37,13 @@ fn error_kind(response: &Value) -> Option<&str> {
     response
         .get("error")
         .and_then(|e| e.get("kind"))
+        .and_then(Value::as_str)
+}
+
+fn error_detail(response: &Value) -> Option<&str> {
+    response
+        .get("error")
+        .and_then(|e| e.get("detail"))
         .and_then(Value::as_str)
 }
 
@@ -76,9 +84,29 @@ fn server_survives_malformed_requests_timeouts_and_saturation() {
     client.send(r#"{"trace":{},"budget":{"misses":1}}"#);
     assert_eq!(error_kind(&client.recv()), Some("bad-spec"));
 
-    // ... and an unknown op.
-    client.send(r#"{"op":"dance"}"#);
-    assert_eq!(error_kind(&client.recv()), Some("bad-spec"));
+    // ... and an unknown op, the four ops of the retired shard protocol
+    // included.
+    for op in ["dance", "join", "ring", "artifact_get", "artifact_put"] {
+        client.send(&format!(
+            r#"{{"op":"{op}","addr":"127.0.0.1:1","digest":"0000000000000001","bits":4,"artifact":"00"}}"#
+        ));
+        let response = client.recv();
+        assert_eq!(error_kind(&response), Some("bad-spec"), "{op}");
+        assert_eq!(
+            error_detail(&response),
+            Some(format!("bad job spec: unknown op \"{op}\"; expected stats|shutdown").as_str())
+        );
+    }
+
+    // ... and a line past the 64 KiB cap, refused for its length alone: it
+    // is a valid job spec.
+    client.send(&job_line(&"x".repeat(70_000), 7, 0, ""));
+    let response = client.recv();
+    assert_eq!(error_kind(&response), Some("bad-spec"));
+    assert_eq!(
+        error_detail(&response),
+        Some("bad job spec: line longer than 65536 bytes")
+    );
 
     // 2. The connection still works: a real job completes.
     client.send(&job_line("warmup", 7, 0, ""));

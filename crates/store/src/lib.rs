@@ -20,14 +20,12 @@
 //!   decode, quarantine of corrupt files.
 //! - [`ArtifactCache`] — the in-memory build-once cache (moved here from
 //!   `cachedse-serve`), now write-through to an optional backing store.
-//! - [`HashRing`] — consistent hashing of trace digests across serve
-//!   peers, so joined nodes agree on which of them owns a trace.
 //!
 //! Loaded bytes are untrusted: the codec bounds-checks every array
 //! against the checksummed payload and requires one profile per depth,
 //! the flat-parts constructors (`StrippedTrace::from_parts`,
 //! `Exploration::from_parts`) re-establish every structural invariant,
-//! and [`validate_loaded`] cross-checks the profiles against the trace
+//! and [`decode_validated`] cross-checks the profiles against the trace
 //! statistics before anything downstream sees them.
 
 #![forbid(unsafe_code)]
@@ -39,13 +37,11 @@ mod artifacts;
 pub mod codec;
 mod disk;
 mod memory;
-mod ring;
 mod tier;
 
 pub use artifacts::{ArtifactKey, Found, TraceArtifacts};
 pub use disk::DiskStore;
 pub use memory::MemoryStore;
-pub use ring::HashRing;
 pub use tier::ArtifactCache;
 
 use cachedse_trace::digest::TraceDigest;
@@ -62,14 +58,14 @@ use cachedse_trace::stats::TraceStats;
 /// stats gate was not).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
-    /// The underlying filesystem or network operation failed.
+    /// The underlying filesystem operation failed.
     Io(String),
     /// The bytes failed a structural gate: bad magic, unsupported
     /// version, truncation, checksum mismatch, a retired or unknown flag,
     /// or a malformed array.
     Corrupt(String),
-    /// The bytes decoded but failed semantic validation
-    /// ([`validate_loaded`]).
+    /// The bytes decoded but failed semantic validation: their
+    /// statistics disagree with the stripped trace they describe.
     Invalid(String),
 }
 
@@ -101,7 +97,7 @@ impl std::error::Error for StoreError {}
 /// The persistence contract every store tier implements.
 ///
 /// Implementations must be safe to share across the serve worker pool
-/// (`Send + Sync`); all three in-tree implementations route their locking
+/// (`Send + Sync`); both in-tree implementations route their locking
 /// through the `cachedse-sync` shim so the model checker can schedule
 /// them.
 pub trait ArtifactStore: Send + Sync + fmt::Debug {
@@ -148,7 +144,7 @@ pub trait ArtifactStore: Send + Sync + fmt::Debug {
 /// # Errors
 ///
 /// [`StoreError::Invalid`] naming the first violated invariant.
-pub fn validate_loaded(artifacts: &TraceArtifacts) -> Result<(), StoreError> {
+fn validate_loaded(artifacts: &TraceArtifacts) -> Result<(), StoreError> {
     let stats = TraceStats::of_stripped(&artifacts.stripped);
     if artifacts.exploration.stats() != stats {
         return Err(StoreError::Invalid(format!(
@@ -177,12 +173,13 @@ pub fn validate_loaded(artifacts: &TraceArtifacts) -> Result<(), StoreError> {
 }
 
 /// Decodes `bytes`, checks the decoded key matches the requested `key`,
-/// and runs [`validate_loaded`] — the shared load path of every tier.
+/// and cross-checks the profiles against the stripped trace's statistics
+/// — the shared load path of every tier.
 ///
 /// # Errors
 ///
-/// Propagates the codec's [`StoreError::Corrupt`] and
-/// [`validate_loaded`]'s [`StoreError::Invalid`]; a key mismatch (bytes
+/// Propagates the codec's [`StoreError::Corrupt`], and
+/// [`StoreError::Invalid`] when the statistics disagree; a key mismatch (bytes
 /// filed under the wrong name) is `Corrupt`.
 pub fn decode_validated(key: &ArtifactKey, bytes: &[u8]) -> Result<TraceArtifacts, StoreError> {
     let (decoded_key, artifacts) = codec::decode(bytes)?;

@@ -218,19 +218,6 @@ impl ArtifactCache {
         self.get_or_build(*key, || Err(NotCached)).ok()
     }
 
-    /// Inserts already-validated artifacts under `key` (write-through),
-    /// as if a build had produced them — the receive path of artifacts
-    /// fetched from a peer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous builder panicked while holding a slot lock.
-    pub fn insert(&self, key: ArtifactKey, artifacts: TraceArtifacts) {
-        enum Never {}
-        let result: Result<_, Never> = self.get_or_build(key, || Ok(artifacts));
-        let Ok(_) = result;
-    }
-
     /// Every key whose digest is `digest`, across memory and the backing
     /// store (one per index-bit cap the trace was analyzed under).
     ///

@@ -38,22 +38,18 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// An incremental 64-bit FNV-1a hasher over raw bytes.
-///
-/// Exposed separately from [`TraceDigest`] so callers can fold extra
-/// context (index-bit caps, line-size choices) into a derived key without
-/// inventing a second hash.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
     /// A fresh hasher at the FNV offset basis.
     #[must_use]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(FNV_OFFSET)
     }
 
     /// Folds `bytes` into the state.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let mut h = self.0;
         for &b in bytes {
             h ^= u64::from(b);
@@ -62,26 +58,10 @@ impl Fnv1a {
         self.0 = h;
     }
 
-    /// Folds a little-endian `u32` into the state.
-    pub fn update_u32(&mut self, value: u32) {
-        self.update(&value.to_le_bytes());
-    }
-
-    /// Folds a little-endian `u64` into the state.
-    pub fn update_u64(&mut self, value: u64) {
-        self.update(&value.to_le_bytes());
-    }
-
     /// The current hash value.
     #[must_use]
-    pub const fn finish(self) -> u64 {
+    pub(crate) const fn finish(self) -> u64 {
         self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -96,12 +76,12 @@ impl TraceDigest {
         let mut h = Fnv1a::new();
         for r in trace {
             h.update(&[r.kind.label()]);
-            h.update_u32(r.addr.raw());
+            h.update(&r.addr.raw().to_le_bytes());
         }
         Self(h.finish())
     }
 
-    /// Wraps a precomputed raw digest (for keys derived via [`Fnv1a`]).
+    /// Wraps a raw digest, as read back from a store entry or a job spec.
     #[must_use]
     pub const fn from_raw(raw: u64) -> Self {
         Self(raw)
