@@ -21,7 +21,6 @@ fn bench_end_to_end(c: &mut Criterion) {
     .data;
     let bits = trace.address_bits();
     let budget = TraceStats::of(&trace).budget(0.10);
-    let threads = std::thread::available_parallelism().unwrap_or(std::num::NonZeroUsize::MIN);
 
     let mut group = c.benchmark_group("end_to_end");
     group.sample_size(10);
@@ -38,16 +37,6 @@ fn bench_end_to_end(c: &mut Criterion) {
             DesignSpaceExplorer::new(std::hint::black_box(&trace))
                 .max_index_bits(bits)
                 .engine(Engine::DepthFirst)
-                .explore(MissBudget::Absolute(budget))
-                .expect("non-empty trace")
-        });
-    });
-    group.bench_function("analytical_depth_first_parallel", |b| {
-        b.iter(|| {
-            DesignSpaceExplorer::new(std::hint::black_box(&trace))
-                .max_index_bits(bits)
-                .engine(Engine::DepthFirst)
-                .threads(threads)
                 .explore(MissBudget::Absolute(budget))
                 .expect("non-empty trace")
         });

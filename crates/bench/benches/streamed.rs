@@ -1,6 +1,5 @@
-//! The fused streamed fold: serial vs the chunked parallel fold of
-//! DESIGN.md §17, plus the tombstone-churn stress the inline-skip fold
-//! was built for.
+//! The fused streamed fold on synthetic loops, plus the tombstone-churn
+//! stress the inline-skip fold was built for.
 //!
 //! The `tombstone_churn` case is the pathological shape for any fold that
 //! maintains a sorted index of dead slots: a large live set (tens of
@@ -42,18 +41,6 @@ fn bench_streamed(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fused_serial", n), &stripped, |b, s| {
             b.iter(|| streamed::level_profiles(std::hint::black_box(s), bits));
         });
-        for workers in [2usize, 4, 8] {
-            let threads = std::num::NonZeroUsize::new(workers).expect("nonzero");
-            group.bench_with_input(
-                BenchmarkId::new(format!("fused_parallel_{workers}"), n),
-                &stripped,
-                |b, s| {
-                    b.iter(|| {
-                        streamed::level_profiles_parallel(std::hint::black_box(s), bits, threads)
-                    });
-                },
-            );
-        }
     }
 
     let trace = tombstone_churn_trace(32_768, 64, 40_000);

@@ -23,10 +23,10 @@
 #[allow(unsafe_code)]
 mod imp {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    static CURRENT: AtomicUsize = AtomicUsize::new(0);
-    static PEAK: AtomicUsize = AtomicUsize::new(0);
+    static CURRENT: AtomicU64 = AtomicU64::new(0);
+    static PEAK: AtomicU64 = AtomicU64::new(0);
 
     /// A [`System`]-wrapping allocator that tracks live bytes and their
     /// high-water mark.
@@ -34,12 +34,13 @@ mod imp {
     pub struct CountingAlloc;
 
     fn grow(bytes: usize) {
+        let bytes = bytes as u64;
         let now = CURRENT.fetch_add(bytes, Ordering::Relaxed) + bytes;
         PEAK.fetch_max(now, Ordering::Relaxed);
     }
 
     fn shrink(bytes: usize) {
-        CURRENT.fetch_sub(bytes, Ordering::Relaxed);
+        CURRENT.fetch_sub(bytes as u64, Ordering::Relaxed);
     }
 
     // SAFETY: every method delegates verbatim to `System` and only adds
@@ -87,11 +88,11 @@ mod imp {
     pub fn mark() -> u64 {
         let now = CURRENT.load(Ordering::Relaxed);
         PEAK.store(now, Ordering::Relaxed);
-        now as u64
+        now
     }
 
     pub fn peak_since(mark: u64) -> u64 {
-        (PEAK.load(Ordering::Relaxed) as u64).saturating_sub(mark)
+        PEAK.load(Ordering::Relaxed).saturating_sub(mark)
     }
 }
 

@@ -1,11 +1,10 @@
 //! `perf_report` — the workspace's machine-readable perf trajectory.
 //!
 //! Times every prelude phase (`strip`, `bcat`, `mrct`, the fused
-//! `streamed` MRCT→postlude replay), every engine of the §2.4 depth-first
-//! comparison (`depth_first`, `depth_first_parallel_*` and
-//! `streamed_parallel_*` at pinned worker counts), the materialized
-//! reference `postlude::materialized_profiles` (the `tree_table` row), and
-//! the end-to-end exploration over the benchmark kernels (the default
+//! `streamed` MRCT→postlude replay), the §2.4 depth-first engine
+//! (`depth_first`), the materialized reference
+//! `postlude::materialized_profiles` (the `tree_table` row), and the
+//! end-to-end exploration over the benchmark kernels (the default
 //! path: strip, the engine `Engine::Auto` picks, one frontier), then writes
 //! `BENCH_dfs.json` at the repo root — schema `cachedse-bench-dfs/v6`,
 //! documented in `DESIGN.md` §11.
@@ -44,18 +43,9 @@
 //! also gate the fusion's memory claim: the streamed phase must not
 //! out-allocate the materialized MRCT build it replaces.
 //!
-//! On single-core hosts the `depth_first_parallel_*` and
-//! `streamed_parallel_*` engine rows are skipped: worker-pool timings on a
-//! 1-wide machine measure scheduling overhead, not the engine. The report
-//! records the decision in the top-level `parallel_engines_measured` flag
-//! (v3), and `--check` requires the parallel engine fields — and, since v5,
-//! the per-kernel `scaling_efficiency` object — exactly when that flag is
-//! `true`. Before a parallel row is timed its result is asserted
-//! byte-identical to the serial engine's; a divergence aborts the run
-//! rather than publishing a timing for a wrong engine. Under `--gate` on a
-//! host at least [`EFFICIENCY_WORKERS`] wide, the streamed fold's
-//! 4-worker scaling efficiency on the conflict-heaviest data traces
-//! ([`EFFICIENCY_GATED_KERNELS`]) must clear [`EFFICIENCY_FLOOR`].
+//! Every engine runs serially, so the report has no worker-pool rows.
+//! An older v6 report may still carry them, with their per-kernel
+//! efficiency object and top-level flag; `--check` ignores those fields.
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
@@ -94,28 +84,6 @@ const PEAK_GATE_FLOOR_BYTES: u64 = 1 << 20;
 /// The two small kernels `--quick` keeps (CI smoke coverage of one data and
 /// one instruction trace without the multi-minute full sweep).
 const QUICK_KERNELS: [&str; 2] = ["qurt.data", "blit.data"];
-
-/// Worker counts the parallel engines are pinned to. `1` is gone since v5:
-/// both parallel entry points fall back to the serial path at one worker,
-/// so the old `*_parallel_1` row timed the serial engine under another
-/// name. The serial columns already cover it.
-const PARALLEL_WORKERS: [usize; 3] = [2, 4, 8];
-
-/// `--gate` floor for the streamed fold's scaling efficiency
-/// (`serial_ns / (parallel_ns * workers)`) at [`EFFICIENCY_WORKERS`]
-/// workers — 0.625 is the ≥2.5x-at-4-workers speedup claim from
-/// DESIGN.md §17, with the rest lost to the serial snapshot pre-scan and
-/// the merge.
-const EFFICIENCY_FLOOR: f64 = 0.625;
-
-/// Worker count the efficiency floor is checked at.
-const EFFICIENCY_WORKERS: usize = 4;
-
-/// The conflict-heaviest data traces, where the fold dominates the
-/// pre-scan and the scaling claim is meaningful. Quick kernels are
-/// deliberately absent so the CI smoke job never trips the floor on
-/// pre-scan-bound traces.
-const EFFICIENCY_GATED_KERNELS: [&str; 3] = ["adpcm.data", "compress.data", "g3fax.data"];
 
 /// Median `Mrct::build` ns/iter per kernel recorded immediately **after**
 /// the output-optimal rewrite (Fenwick-sized CSR arena, tombstone recency
@@ -279,7 +247,6 @@ fn main() -> ExitCode {
             failures.extend(gate_phase(&report, phase, table));
         }
         failures.extend(gate_peaks(&report));
-        failures.extend(gate_scaling(&report));
         failures.extend(gate_engine_choice(&report));
         if !failures.is_empty() {
             eprintln!("perf_report: phase regression gate failed:");
@@ -380,51 +347,6 @@ fn gate_peaks(report: &Value) -> Vec<String> {
     failures
 }
 
-/// The streamed fold's scaling claim as a gate: on a host at least
-/// [`EFFICIENCY_WORKERS`] wide, every measured [`EFFICIENCY_GATED_KERNELS`]
-/// kernel's streamed 4-worker scaling efficiency must clear
-/// [`EFFICIENCY_FLOOR`]. Empty when the parallel rows were skipped (narrow
-/// host) or the host cannot actually run 4 workers at once — a 2-wide CI
-/// box timing 4 workers measures oversubscription, not scaling.
-fn gate_scaling(report: &Value) -> Vec<String> {
-    if report
-        .get("parallel_engines_measured")
-        .and_then(Value::as_bool)
-        != Some(true)
-    {
-        return Vec::new();
-    }
-    let host = report
-        .get("host_parallelism")
-        .and_then(Value::as_u64)
-        .unwrap_or(1);
-    if host < EFFICIENCY_WORKERS as u64 {
-        return Vec::new();
-    }
-    let mut failures = Vec::new();
-    for (label, kernel) in labeled_kernels(report) {
-        if !EFFICIENCY_GATED_KERNELS.contains(&label) {
-            continue;
-        }
-        let efficiency = kernel
-            .get("scaling_efficiency")
-            .and_then(|e| e.get("streamed"))
-            .and_then(|e| e.get(&EFFICIENCY_WORKERS.to_string()))
-            .and_then(Value::as_f64);
-        match efficiency {
-            Some(e) if e >= EFFICIENCY_FLOOR => {}
-            Some(e) => failures.push(format!(
-                "{label}: streamed {EFFICIENCY_WORKERS}-worker scaling efficiency {e:.3} below \
-                 the {EFFICIENCY_FLOOR} floor"
-            )),
-            None => failures.push(format!(
-                "{label}: missing streamed {EFFICIENCY_WORKERS}-worker scaling efficiency"
-            )),
-        }
-    }
-    failures
-}
-
 /// The automatic engine choice as a gate: `end_to_end_ns` times the
 /// default path, so minus the strip it is the engine `Engine::Auto`
 /// picked (plus its reuse pass and one frontier walk). Returns one
@@ -481,16 +403,6 @@ fn run_report(quick: bool, samples: usize) -> Value {
         traces.retain(|t| QUICK_KERNELS.contains(&t.label().as_str()));
     }
     let host = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    // On a 1-wide host the worker-pool rows time scheduling overhead, not
-    // the engine; skip them and record the decision in the report.
-    let measure_parallel = host > 1;
-    if !measure_parallel {
-        eprintln!(
-            "perf_report: host parallelism is 1, skipping depth_first_parallel and \
-             streamed_parallel rows"
-        );
-    }
-
     let peak_tracked = alloc_track::enabled();
     eprintln!(
         "perf_report: {} trace(s), {samples} samples, host parallelism {host}, \
@@ -499,14 +411,14 @@ fn run_report(quick: bool, samples: usize) -> Value {
         if peak_tracked { "on" } else { "off" }
     );
     println!(
-        "{:<16} {:>13} {:>13} {:>13} {:>13} {:>13} {:>13} {:>8}",
-        "kernel", "mrct ns", "strm ns", "strm-p4 ns", "dfs ns", "dfs-p4 ns", "tree ns", "vs-tree"
+        "{:<16} {:>13} {:>13} {:>13} {:>13} {:>8}",
+        "kernel", "mrct ns", "strm ns", "dfs ns", "tree ns", "vs-tree"
     );
 
     let kernels: Vec<Value> = traces
         .iter()
         .map(|named| {
-            let row = measure_trace(named, samples, measure_parallel);
+            let row = measure_trace(named, samples);
             print_row(named, &row);
             row.to_json(named)
         })
@@ -517,16 +429,13 @@ fn run_report(quick: bool, samples: usize) -> Value {
         ("mode", Value::from(if quick { "quick" } else { "full" })),
         ("samples", Value::from(samples as u64)),
         ("host_parallelism", Value::from(host as u64)),
-        ("parallel_engines_measured", Value::from(measure_parallel)),
         ("peak_alloc_tracked", Value::from(peak_tracked)),
         ("kernels", Value::array(kernels)),
     ])
 }
 
 /// All medians measured for one trace, in nanoseconds per iteration.
-/// The two parallel arrays are `None` when the host is too narrow to make
-/// worker-pool timings meaningful (see `run_report`); `peaks` is `None`
-/// without the `alloc-track` feature.
+/// `peaks` is `None` without the `alloc-track` feature.
 struct TraceRow {
     refs: u64,
     unique: u64,
@@ -536,8 +445,6 @@ struct TraceRow {
     mrct_ns: f64,
     streamed_ns: f64,
     depth_first_ns: f64,
-    dfs_parallel_ns: Option<[f64; PARALLEL_WORKERS.len()]>,
-    streamed_parallel_ns: Option<[f64; PARALLEL_WORKERS.len()]>,
     tree_table_ns: f64,
     end_to_end_ns: f64,
     peaks: Option<PhasePeaks>,
@@ -581,7 +488,7 @@ fn measure_peaks(trace: &Trace, stripped: &StrippedTrace, bits: u32) -> PhasePea
     }
 }
 
-fn measure_trace(named: &NamedTrace, samples: usize, measure_parallel: bool) -> TraceRow {
+fn measure_trace(named: &NamedTrace, samples: usize) -> TraceRow {
     let trace: &Trace = &named.trace;
     let stripped = StrippedTrace::from_trace(trace);
     let bits = trace.address_bits();
@@ -591,39 +498,6 @@ fn measure_trace(named: &NamedTrace, samples: usize, measure_parallel: bool) -> 
     let mrct_ns = measure(samples, || Mrct::build(&stripped));
     let streamed_ns = measure(samples, || streamed::level_profiles(&stripped, bits));
     let depth_first_ns = measure(samples, || dfs::level_profiles(&stripped, bits));
-    // Each parallel row is asserted byte-identical to the serial engine
-    // before it is timed: publishing a timing for an engine that computes
-    // something else would be worse than publishing nothing.
-    let dfs_parallel_ns = measure_parallel.then(|| {
-        let serial = dfs::level_profiles(&stripped, bits);
-        PARALLEL_WORKERS.map(|workers| {
-            let workers = NonZeroUsize::new(workers).expect("nonzero");
-            assert_eq!(
-                dfs::level_profiles_parallel(&stripped, bits, workers),
-                serial,
-                "{}: {workers}-worker depth-first diverged from serial",
-                named.label()
-            );
-            measure(samples, || {
-                dfs::level_profiles_parallel(&stripped, bits, workers)
-            })
-        })
-    });
-    let streamed_parallel_ns = measure_parallel.then(|| {
-        let serial = streamed::level_profiles(&stripped, bits);
-        PARALLEL_WORKERS.map(|workers| {
-            let workers = NonZeroUsize::new(workers).expect("nonzero");
-            assert_eq!(
-                streamed::level_profiles_parallel(&stripped, bits, workers),
-                serial,
-                "{}: {workers}-worker streamed fold diverged from serial",
-                named.label()
-            );
-            measure(samples, || {
-                streamed::level_profiles_parallel(&stripped, bits, workers)
-            })
-        })
-    });
     let tree_table_ns = measure(samples, || postlude::materialized_profiles(&stripped, bits));
     let end_to_end_ns = measure(samples, || {
         DesignSpaceExplorer::new(trace)
@@ -642,8 +516,6 @@ fn measure_trace(named: &NamedTrace, samples: usize, measure_parallel: bool) -> 
         mrct_ns,
         streamed_ns,
         depth_first_ns,
-        dfs_parallel_ns,
-        streamed_parallel_ns,
         tree_table_ns,
         end_to_end_ns,
         peaks,
@@ -661,23 +533,9 @@ fn lookup(table: &[(&str, f64)], label: &str) -> Option<f64> {
 fn print_row(named: &NamedTrace, row: &TraceRow) {
     let label = named.label();
     let vs_tree = row.tree_table_ns / row.depth_first_ns;
-    // The console table shows the 4-worker row of each parallel engine;
-    // the JSON carries every pinned worker count.
-    let four = PARALLEL_WORKERS
-        .iter()
-        .position(|&w| w == EFFICIENCY_WORKERS)
-        .expect("4 workers is a pinned count");
-    let par = |ns: Option<[f64; PARALLEL_WORKERS.len()]>| {
-        ns.map_or_else(|| "-".to_owned(), |ns| format!("{:.0}", ns[four]))
-    };
     println!(
-        "{label:<16} {:>13.0} {:>13.0} {:>13} {:>13.0} {:>13} {:>13.0} {vs_tree:>7.2}x",
-        row.mrct_ns,
-        row.streamed_ns,
-        par(row.streamed_parallel_ns),
-        row.depth_first_ns,
-        par(row.dfs_parallel_ns),
-        row.tree_table_ns,
+        "{label:<16} {:>13.0} {:>13.0} {:>13.0} {:>13.0} {vs_tree:>7.2}x",
+        row.mrct_ns, row.streamed_ns, row.depth_first_ns, row.tree_table_ns,
     );
 }
 
@@ -697,27 +555,10 @@ fn phase_baseline_json(label: &str, measured: f64, post_table: &[(&str, f64)]) -
 impl TraceRow {
     fn to_json(&self, named: &NamedTrace) -> Value {
         let label = named.label();
-        let engines = Value::object(
-            [
-                ("depth_first".to_owned(), Value::from(self.depth_first_ns)),
-                ("tree_table".to_owned(), Value::from(self.tree_table_ns)),
-            ]
-            .into_iter()
-            .chain(
-                PARALLEL_WORKERS
-                    .iter()
-                    .zip(self.dfs_parallel_ns.into_iter().flatten())
-                    .map(|(workers, ns)| {
-                        (format!("depth_first_parallel_{workers}"), Value::from(ns))
-                    }),
-            )
-            .chain(
-                PARALLEL_WORKERS
-                    .iter()
-                    .zip(self.streamed_parallel_ns.into_iter().flatten())
-                    .map(|(workers, ns)| (format!("streamed_parallel_{workers}"), Value::from(ns))),
-            ),
-        );
+        let engines = Value::object([
+            ("depth_first", Value::from(self.depth_first_ns)),
+            ("tree_table", Value::from(self.tree_table_ns)),
+        ]);
         let mrct_baseline = phase_baseline_json(&label, self.mrct_ns, POST_REWRITE_MRCT_NS);
         let bcat_baseline = phase_baseline_json(&label, self.bcat_ns, POST_REWRITE_BCAT_NS);
         let streamed_baseline =
@@ -755,28 +596,6 @@ impl TraceRow {
                 Value::from(self.tree_table_ns / self.streamed_ns),
             ),
         ];
-        // v5: present exactly when the parallel rows were measured.
-        // Efficiency is `serial / (parallel * workers)` — 1.0 is perfect
-        // linear scaling, keyed by worker count.
-        if let (Some(dfs_par), Some(streamed_par)) =
-            (self.dfs_parallel_ns, self.streamed_parallel_ns)
-        {
-            let efficiency = |serial_ns: f64, parallel: [f64; PARALLEL_WORKERS.len()]| {
-                Value::object(PARALLEL_WORKERS.iter().zip(parallel).map(|(&workers, ns)| {
-                    (
-                        workers.to_string(),
-                        Value::from(serial_ns / (ns * workers as f64)),
-                    )
-                }))
-            };
-            fields.push((
-                "scaling_efficiency",
-                Value::object([
-                    ("depth_first", efficiency(self.depth_first_ns, dfs_par)),
-                    ("streamed", efficiency(self.streamed_ns, streamed_par)),
-                ]),
-            ));
-        }
         if let Some(peaks) = &self.peaks {
             fields.push((
                 "peak_alloc_bytes",
@@ -813,10 +632,6 @@ fn validate_report(text: &str) -> Result<usize, String> {
             .and_then(Value::as_u64)
             .ok_or_else(|| format!("missing numeric {field:?}"))?;
     }
-    let parallel_measured = value
-        .get("parallel_engines_measured")
-        .and_then(Value::as_bool)
-        .ok_or("missing boolean \"parallel_engines_measured\"")?;
     let peak_tracked = value
         .get("peak_alloc_tracked")
         .and_then(Value::as_bool)
@@ -854,8 +669,8 @@ fn validate_report(text: &str) -> Result<usize, String> {
             positive(phases.get(field), &context(field))?;
         }
         // Peak objects appear exactly when the report says the allocator
-        // counters were live — same emitter/flag cross-check as the
-        // parallel engine rows.
+        // counters were live: a peak object despite the flag (or vice
+        // versa) means the emitter and the flag disagree.
         match (peak_tracked, kernel.get("peak_alloc_bytes")) {
             (true, Some(peaks)) => {
                 for field in ["strip", "bcat", "mrct", "streamed"] {
@@ -881,56 +696,6 @@ fn validate_report(text: &str) -> Result<usize, String> {
             .ok_or_else(|| format!("kernel {label:?} missing \"engines_ns\""))?;
         for field in ["depth_first", "tree_table"] {
             positive(engines.get(field), &context(field))?;
-        }
-        // Parallel engine rows are present exactly when the report says
-        // they were measured — a row appearing despite the skip flag (or
-        // vice versa) means the emitter and the flag disagree.
-        for field in PARALLEL_WORKERS.iter().flat_map(|w| {
-            [
-                format!("depth_first_parallel_{w}"),
-                format!("streamed_parallel_{w}"),
-            ]
-        }) {
-            match (parallel_measured, engines.get(&field)) {
-                (true, entry @ Some(_)) => {
-                    positive(entry, &context(&field))?;
-                }
-                (false, None) => {}
-                (true, None) => return Err(context(&field)),
-                (false, Some(_)) => {
-                    return Err(format!(
-                        "kernel {label:?} carries {field:?} although \
-                         \"parallel_engines_measured\" is false"
-                    ));
-                }
-            }
-        }
-        // v5: the scaling-efficiency object rides the same flag as the
-        // parallel rows it is derived from.
-        match (parallel_measured, kernel.get("scaling_efficiency")) {
-            (true, Some(efficiency)) => {
-                for engine in ["depth_first", "streamed"] {
-                    let entry = efficiency.get(engine).ok_or_else(|| {
-                        format!("kernel {label:?} missing \"scaling_efficiency.{engine}\"")
-                    })?;
-                    for workers in PARALLEL_WORKERS {
-                        positive(
-                            entry.get(&workers.to_string()),
-                            &context(&format!("scaling_efficiency.{engine}.{workers}")),
-                        )?;
-                    }
-                }
-            }
-            (false, None) => {}
-            (true, None) => {
-                return Err(format!("kernel {label:?} missing \"scaling_efficiency\""));
-            }
-            (false, Some(_)) => {
-                return Err(format!(
-                    "kernel {label:?} carries \"scaling_efficiency\" although \
-                     \"parallel_engines_measured\" is false"
-                ));
-            }
         }
         let phase_baselines = kernel
             .get("phase_baselines")

@@ -1,32 +1,23 @@
 //! Engine-agreement checking: every conflict-depth engine must agree.
 //!
-//! Every engine, serial or parallel, claims *byte-identity* with the
-//! paper's published pipeline, `postlude::materialized_profiles` (BCAT,
-//! MRCT, Algorithm 3), so callers (and the batch service's engine-free
+//! Every engine claims *byte-identity* with the paper's published
+//! pipeline, `postlude::materialized_profiles` (BCAT, MRCT, Algorithm 3),
+//! so callers (and the batch service's engine-free
 //! cache key) may take either. `diff_profiles` is the one loop every
 //! profile-comparing checker shares: it reports every level where a
 //! candidate and the reference disagree, as a structured violation
 //! instead of a silently wrong frontier. [`check_pipeline`] runs it on
 //! the streamed fold under [`Invariant::ProfileDivergence`];
 //! [`check_engines`] runs `Engine::DepthFirst` through the public
-//! [`prepare_stripped`] entry point both serially and with `threads = 2`,
-//! under [`Invariant::EngineDivergence`].
+//! [`prepare_stripped`] entry point under [`Invariant::EngineDivergence`].
 //!
 //! [`check_pipeline`]: crate::check_pipeline
-
-use std::num::NonZeroUsize;
 
 use cachedse_core::{prepare_stripped, Engine};
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::StrippedTrace;
 
 use crate::report::{Invariant, Location, Violation};
-
-/// Worker count pinned for the parallel schedule during checking. Two
-/// workers is the smallest count that exercises the work-queue path; the
-/// splitting threshold is thread-count independent, so any pinning is
-/// representative.
-const CHECK_WORKERS: usize = 2;
 
 /// Diffs `candidate` against `golden` level by level: one `invariant`
 /// violation per differing level, or a single global one when the level
@@ -64,9 +55,8 @@ pub(crate) fn diff_profiles(
         .collect()
 }
 
-/// Recomputes the per-level profiles with the depth-first engine, serial
-/// and parallel, and returns one violation per `(schedule, level)`
-/// disagreement with `reference` — the
+/// Recomputes the per-level profiles with the depth-first engine and
+/// returns one violation per level that disagrees with `reference` — the
 /// [`postlude::materialized_profiles`](cachedse_core::postlude::materialized_profiles)
 /// of `stripped` at `max_index_bits`.
 #[must_use]
@@ -75,27 +65,20 @@ pub fn check_engines(
     max_index_bits: u32,
     reference: &[DepthProfile],
 ) -> Vec<Violation> {
-    let schedules = [
-        ("depth-first", None),
-        ("depth-first, 2 threads", NonZeroUsize::new(CHECK_WORKERS)),
-    ];
-    let mut violations = Vec::new();
-    for (label, threads) in schedules {
-        match prepare_stripped(stripped, Some(max_index_bits), Engine::DepthFirst, threads) {
-            Ok(exploration) => violations.extend(diff_profiles(
-                Invariant::EngineDivergence,
-                label,
-                exploration.profiles(),
-                reference,
-            )),
-            Err(e) => violations.push(Violation::new(
-                Invariant::EngineDivergence,
-                Location::Global,
-                format!("{label}: refused an input the reference analyzed: {e}"),
-            )),
-        }
+    let label = "depth-first";
+    match prepare_stripped(stripped, Some(max_index_bits), Engine::DepthFirst, None) {
+        Ok(exploration) => diff_profiles(
+            Invariant::EngineDivergence,
+            label,
+            exploration.profiles(),
+            reference,
+        ),
+        Err(e) => vec![Violation::new(
+            Invariant::EngineDivergence,
+            Location::Global,
+            format!("{label}: refused an input the reference analyzed: {e}"),
+        )],
     }
-    violations
 }
 
 #[cfg(test)]

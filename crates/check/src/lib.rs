@@ -70,9 +70,9 @@ pub struct CheckOptions {
 }
 
 /// Runs the full pipeline on `trace` and verifies every artifact: zero/one
-/// sets, BCAT, MRCT, engine agreement (the streamed fold, and depth-first
-/// serial and parallel, vs the materialized reference), and the frontier
-/// at each of `budgets` (plus budget monotonicity across them).
+/// sets, BCAT, MRCT, engine agreement (the streamed fold and depth-first
+/// vs the materialized reference), and the frontier at each of `budgets`
+/// (plus budget monotonicity across them).
 ///
 /// The reference — Algorithm 3 over the BCAT and MRCT built here for the
 /// snapshots — is computed once and shared by every engine comparison.

@@ -55,8 +55,8 @@ pub enum Invariant {
     /// A looser miss budget demanded more ways than a tighter one at the
     /// same depth.
     FrontierNonMonotoneBudget,
-    /// A conflict-depth engine (depth-first serial or parallel) produced a
-    /// per-level profile different from the materialized reference
+    /// The depth-first engine produced a per-level profile different
+    /// from the materialized reference
     /// (`postlude::materialized_profiles`); the engines are
     /// interchangeable only because they are byte-identical.
     EngineDivergence,

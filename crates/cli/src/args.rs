@@ -30,6 +30,8 @@ pub enum ArgError {
     },
     /// A required positional argument is missing.
     MissingPositional(&'static str),
+    /// A positional argument beyond the command's count.
+    Surplus(String),
     /// The command does not take this option.
     Unknown(String),
     /// The option was removed; the message says what replaced it.
@@ -45,6 +47,9 @@ impl std::fmt::Display for ArgError {
                 write!(f, "invalid value {value:?} for --{option}")
             }
             Self::MissingPositional(name) => write!(f, "missing <{name}> argument"),
+            Self::Surplus(word) => {
+                write!(f, "unexpected argument {word:?}; see `cachedse --help`")
+            }
             Self::Unknown(o) => write!(f, "unknown option --{o}; see `cachedse --help`"),
             Self::Retired(message) => f.write_str(message),
         }
@@ -59,7 +64,7 @@ const BARE_FLAGS: [&str; 3] = ["verify", "quiet", "validate"];
 /// Removed options and the messages that refuse them, on every command
 /// and before any value is read: `check --model <trace>` names the
 /// retirement instead of taking the trace path as a value.
-const RETIRED: [(&str, &str); 4] = [
+const RETIRED: [(&str, &str); 5] = [
     (
         "engine",
         "--engine is retired: the engine is now chosen per trace \
@@ -79,28 +84,38 @@ const RETIRED: [(&str, &str); 4] = [
         "model",
         "check --model is retired: run the model scenarios with \
          RUSTFLAGS=\"--cfg cachedse_model\" cargo test -p cachedse \
-         --test model_serve --test model_dfs --test model_store \
-         --test model_streamed",
+         --test model_serve --test model_store",
+    ),
+    (
+        "threads",
+        "--threads is retired: one analysis runs on one thread; batch and \
+         serve run --workers jobs at once",
     ),
 ];
 
 impl Args {
     /// Parses raw arguments (without the program/subcommand names),
-    /// accepting only the options named in `allowed`.
+    /// accepting only the options named in `allowed` and at most
+    /// `positionals` positional arguments.
     ///
     /// # Errors
     ///
     /// [`ArgError::Retired`] or [`ArgError::Unknown`] for an option outside
     /// `allowed`, [`ArgError::MissingValue`] if a value-taking option ends
-    /// the line.
+    /// the line, [`ArgError::Surplus`] for the first positional past
+    /// `positionals`.
     pub fn parse<I: IntoIterator<Item = String>>(
         raw: I,
         allowed: &[&str],
+        positionals: usize,
     ) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
+                if args.positionals.len() == positionals {
+                    return Err(ArgError::Surplus(arg));
+                }
                 args.positionals.push(arg);
                 continue;
             };
@@ -189,7 +204,7 @@ mod tests {
     const ALLOWED: [&str; 5] = ["depth", "assoc", "line-bits", "misses", "verify"];
 
     fn try_parse(line: &str) -> Result<Args, ArgError> {
-        Args::parse(line.split_whitespace().map(str::to_owned), &ALLOWED)
+        Args::parse(line.split_whitespace().map(str::to_owned), &ALLOWED, 1)
     }
 
     fn parse(line: &str) -> Args {
@@ -233,6 +248,18 @@ mod tests {
             a.positional(0, "trace").unwrap_err(),
             ArgError::MissingPositional("trace")
         );
+    }
+
+    #[test]
+    fn surplus_positional_is_named() {
+        let err = try_parse("a.din --depth 4 b.din c.din").unwrap_err();
+        assert_eq!(err, ArgError::Surplus("b.din".to_owned()));
+        assert_eq!(
+            err.to_string(),
+            "unexpected argument \"b.din\"; see `cachedse --help`"
+        );
+        let none = Args::parse(["x".to_owned()], &ALLOWED, 0).unwrap_err();
+        assert_eq!(none, ArgError::Surplus("x".to_owned()));
     }
 
     #[test]

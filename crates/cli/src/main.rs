@@ -33,8 +33,8 @@ usage: cachedse <command> [options]
                --depth D [--assoc A] [--policy lru|fifo|random|plru]
                [--write-policy wb|wt|wtna]
   explore    compute the optimal (depth, associativity) set of a TRACE
-               (--misses K | --fraction F) [--max-bits B] [--threads N]
-               [--verify] [--format text|json]
+               (--misses K | --fraction F) [--max-bits B] [--verify]
+               [--format text|json]
   sweep      print the paper-style table for K in {5,10,15,20}%
                [--max-bits B]
   rank       order the budget-satisfying configurations by dynamic energy
@@ -44,8 +44,8 @@ usage: cachedse <command> [options]
                [--inject-fault KIND] [--quiet] [--format text|json]
   batch      run JSONL job specs (a file, or stdin) through the
              shared-artifact worker pool
-               [--workers N] [--queue N] [--cache N] [--threads N]
-               [--timeout-ms MS] [--validate] [--store-dir DIR]
+               [--workers N] [--queue N] [--cache N] [--timeout-ms MS]
+               [--validate] [--store-dir DIR]
   serve      answer JSONL jobs over TCP until told to shut down
                [--bind HOST:PORT] and the options of batch
   workloads  list the embedded benchmark kernels
@@ -55,25 +55,26 @@ any command prints this text.";
 
 type Run = fn(&Args) -> CliResult;
 
-/// Every command, the function that runs it, and the options it accepts;
-/// [`Args::parse`] refuses any other.
+/// Every command, the function that runs it, how many positional
+/// arguments it takes (one TRACE, at most one jobs file, or none), and the
+/// options it accepts; [`Args::parse`] refuses any other.
 #[rustfmt::skip]
-const COMMANDS: [(&str, Run, &[&str]); 10] = [
-    ("gen", cmd_gen, &["workload", "side", "seed", "pattern", "base", "len", "iterations",
-                       "stride", "count", "space", "phases", "ws", "out"]),
-    ("stats", cmd_stats, &["line-bits"]),
-    ("simulate", cmd_simulate, &["depth", "assoc", "policy", "write-policy", "line-bits"]),
-    ("explore", cmd_explore, &["misses", "fraction", "max-bits", "threads", "verify", "format",
-                               "line-bits"]),
-    ("sweep", cmd_sweep, &["max-bits", "line-bits"]),
-    ("rank", cmd_rank, &["misses", "fraction", "max-bits", "line-bits"]),
-    ("check", cmd_check, &["misses", "fraction", "max-bits", "inject-fault", "quiet", "format",
-                           "line-bits"]),
-    ("batch", cmd_batch, &["workers", "queue", "cache", "threads", "timeout-ms", "validate",
-                           "store-dir"]),
-    ("serve", cmd_serve, &["workers", "queue", "cache", "threads", "timeout-ms", "validate",
-                           "store-dir", "bind"]),
-    ("workloads", cmd_workloads, &[]),
+const COMMANDS: [(&str, Run, usize, &[&str]); 10] = [
+    ("gen", cmd_gen, 0, &["workload", "side", "seed", "pattern", "base", "len", "iterations",
+                          "stride", "count", "space", "phases", "ws", "out"]),
+    ("stats", cmd_stats, 1, &["line-bits"]),
+    ("simulate", cmd_simulate, 1, &["depth", "assoc", "policy", "write-policy", "line-bits"]),
+    ("explore", cmd_explore, 1, &["misses", "fraction", "max-bits", "verify", "format",
+                                  "line-bits"]),
+    ("sweep", cmd_sweep, 1, &["max-bits", "line-bits"]),
+    ("rank", cmd_rank, 1, &["misses", "fraction", "max-bits", "line-bits"]),
+    ("check", cmd_check, 1, &["misses", "fraction", "max-bits", "inject-fault", "quiet",
+                              "format", "line-bits"]),
+    ("batch", cmd_batch, 1, &["workers", "queue", "cache", "timeout-ms", "validate",
+                              "store-dir"]),
+    ("serve", cmd_serve, 0, &["workers", "queue", "cache", "timeout-ms", "validate",
+                              "store-dir", "bind"]),
+    ("workloads", cmd_workloads, 0, &[]),
 ];
 
 fn main() -> ExitCode {
@@ -104,9 +105,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let result = match COMMANDS.iter().find(|(command, ..)| command == name) {
-        Some((_, run, options)) => Args::parse(rest.iter().cloned(), options)
-            .map_err(Into::into)
-            .and_then(|args| run(&args)),
+        Some((_, run, positionals, options)) => {
+            Args::parse(rest.iter().cloned(), options, *positionals)
+                .map_err(Into::into)
+                .and_then(|args| run(&args))
+        }
         None => Err(format!("unknown command {name:?}\n{USAGE}").into()),
     };
     match result {
@@ -241,16 +244,6 @@ fn cmd_simulate(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `--threads N` worker pin: N ≥ 2 runs the engine picked for the trace
-/// on N workers; absent or 1 runs it serially.
-fn threads_of(args: &Args) -> Result<Option<std::num::NonZeroUsize>, Box<dyn std::error::Error>> {
-    match args.opt::<usize>("threads")? {
-        None => Ok(None),
-        Some(0) => Err("--threads must be at least 1".into()),
-        Some(n) => Ok(std::num::NonZeroUsize::new(n)),
-    }
-}
-
 fn cmd_explore(args: &Args) -> CliResult {
     let trace = load_trace(args)?;
     let budget = match (args.opt::<u64>("misses")?, args.opt::<f64>("fraction")?) {
@@ -260,9 +253,6 @@ fn cmd_explore(args: &Args) -> CliResult {
         (Some(_), Some(_)) => return Err("--misses and --fraction are mutually exclusive".into()),
     };
     let mut explorer = DesignSpaceExplorer::new(&trace);
-    if let Some(threads) = threads_of(args)? {
-        explorer = explorer.threads(threads);
-    }
     if let Some(bits) = args.opt::<u32>("max-bits")? {
         explorer = explorer.max_index_bits(bits);
     }
@@ -456,7 +446,6 @@ fn service_config_of(
         cache_capacity: args.opt_or("cache", 16)?,
         default_timeout_ms: args.opt::<u64>("timeout-ms")?,
         validate: args.flag("validate"),
-        threads: threads_of(args)?,
         store,
     })
 }
@@ -507,7 +496,7 @@ mod tests {
 
     #[test]
     fn usage_names_every_accepted_option() {
-        for (name, _, options) in COMMANDS {
+        for (name, _, _, options) in COMMANDS {
             for option in options {
                 let listed = |end| USAGE.contains(&format!("--{option}{end}"));
                 assert!(listed(' ') || listed(']'), "{name} --{option}");

@@ -128,8 +128,7 @@ fn model_flag_is_retired_by_name() {
             message.contains(
                 "check --model is retired: run the model scenarios with \
                  RUSTFLAGS=\"--cfg cachedse_model\" cargo test -p cachedse \
-                 --test model_serve --test model_dfs --test model_store \
-                 --test model_streamed"
+                 --test model_serve --test model_store"
             ),
             "{args:?}: {message}"
         );

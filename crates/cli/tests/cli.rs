@@ -298,31 +298,61 @@ fn rank_orders_by_energy() {
     assert!(energies.windows(2).all(|w| w[0] <= w[1]), "{energies:?}");
 }
 
-/// `--threads N` runs the picked engine's parallel form, answering exactly
-/// what the serial engine does — here on a uniform random trace over a
-/// large space, which goes to depth-first.
+/// One analysis runs on one thread, so `--threads` is refused by name on
+/// every command that took it — before the trace or jobs file is opened
+/// (neither path exists) and before `serve` binds (stderr would name the
+/// address).
 #[test]
-fn threads_match_serial_on_a_depth_first_trace() {
-    let path = std::env::temp_dir().join(format!("cachedse-dfs-{}.din", std::process::id()));
-    let path_str = path.to_str().unwrap();
-    let mut gen_args: Vec<&str> = "gen --pattern random --len 20000 --space 16384 --seed 3 --out"
-        .split(' ')
-        .collect();
-    gen_args.push(path_str);
-    let out = cachedse(&gen_args);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let explore = |extra: &[&str]| {
-        let mut args = vec!["explore", path_str, "--misses", "0", "--format", "json"];
-        args.extend_from_slice(extra);
-        cachedse(&args)
-    };
-    let serial = explore(&[]);
-    let parallel = explore(&["--threads", "2"]);
-    let _ = std::fs::remove_file(&path);
-    assert!(serial.status.success(), "{}", stderr(&serial));
-    assert!(parallel.status.success(), "{}", stderr(&parallel));
-    assert!(stdout(&serial).contains("\"engine\":\"depth-first\""));
-    assert_eq!(stdout(&serial), stdout(&parallel));
+fn threads_flag_is_retired() {
+    let commands: [&[&str]; 3] = [
+        &["explore", "/nonexistent/t.din", "--misses", "0"],
+        &["batch", "/nonexistent/jobs.jsonl"],
+        &["serve", "--bind", "127.0.0.1:0"],
+    ];
+    for command in commands {
+        let out = cachedse(&[command, &["--threads", "2"]].concat());
+        assert_eq!(out.status.code(), Some(1), "{command:?}");
+        assert!(stdout(&out).is_empty(), "{command:?}: {}", stdout(&out));
+        assert_eq!(
+            stderr(&out),
+            "cachedse: --threads is retired: one analysis runs on one thread; batch and \
+             serve run --workers jobs at once\n",
+            "{command:?}"
+        );
+    }
+}
+
+/// Each command takes a fixed number of positional arguments — one TRACE,
+/// at most one jobs file, or none — and names the first surplus word
+/// instead of silently dropping it.
+#[test]
+fn surplus_positionals_are_refused_by_name() {
+    let path = write_trace("0 b\n0 c\n0 b\n");
+    let trace = path.to_str().unwrap();
+    let commands: [&[&str]; 10] = [
+        &["gen", "--pattern", "loop", "--len", "4"],
+        &["stats", trace],
+        &["simulate", trace, "--depth", "2"],
+        &["explore", trace, "--misses", "0"],
+        &["sweep", trace],
+        &["rank", trace],
+        &["check", trace],
+        &["batch", "a.jsonl"],
+        &["serve", "--bind", "127.0.0.1:0"],
+        &["workloads"],
+    ];
+    for command in commands {
+        for extra in ["/nonexistent/other.din", "b.jsonl"] {
+            let out = cachedse(&[command, &[extra]].concat());
+            assert_eq!(out.status.code(), Some(1), "{command:?} {extra}");
+            assert!(stdout(&out).is_empty(), "{command:?}: {}", stdout(&out));
+            assert_eq!(
+                stderr(&out),
+                format!("cachedse: unexpected argument {extra:?}; see `cachedse --help`\n"),
+                "{command:?} {extra}"
+            );
+        }
+    }
 }
 
 /// `gen` refuses an unknown kernel, and a pattern the job-spec rules

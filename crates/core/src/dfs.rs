@@ -57,16 +57,6 @@ use cachedse_trace::strip::StrippedTrace;
 
 use crate::postlude::{address_table, finalize};
 
-/// Minimum parked-subtrace length before the parallel gather stops
-/// splitting: shorter pieces cost more in scheduling than they recover in
-/// balance.
-const MIN_PARK_LEN: usize = 2_048;
-
-/// Target number of parked work items for the parallel engine. Independent
-/// of the worker count so the serial split prefix — and therefore the
-/// result — is identical for every `threads` value.
-const TARGET_WORK_ITEMS: usize = 32;
-
 /// Nodes with at most this many distinct references answer conflict-depth
 /// queries from a sorted array of live positions instead of the Fenwick
 /// tree. The array is at most 4 KiB — resident in L1 — so a binary search
@@ -77,9 +67,8 @@ const SMALL_SET_MAX: usize = 1_024;
 
 /// Reusable scratch state for the depth-first traversal.
 ///
-/// Created once per engine run (or once per worker in the parallel
-/// engine) and reused across every node, so the steady-state inner loop
-/// performs zero heap allocation.
+/// Created once per engine run and reused across every node, so the
+/// steady-state inner loop performs zero heap allocation.
 #[derive(Clone, Debug)]
 struct Scratch {
     /// `levels[l]` holds the subtrace data of the node(s) currently being
@@ -141,14 +130,6 @@ impl Scratch {
             self.epoch = 1;
         }
         self.epoch
-    }
-
-    /// Loads `data` as the subtrace buffer at `level` (entry point for the
-    /// root and for parked parallel work items).
-    fn load(&mut self, level: u32, data: &[u32]) {
-        let buf = &mut self.levels[level as usize];
-        buf.clear();
-        buf.extend_from_slice(data);
     }
 }
 
@@ -456,164 +437,6 @@ pub fn level_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Dept
     finalize(histograms, stripped)
 }
 
-/// Multi-threaded variant of [`level_profiles`], realizing the paper's
-/// §2.4 remark that "the use of sets allows for execution of the algorithm
-/// on a cluster of machines": BCAT subtrees are independent, so the tree is
-/// split into parked subtraces processed by a worker pool, each worker
-/// accumulating private histograms that are summed at the end.
-///
-/// Scheduling is **size-aware**: the serial prefix keeps splitting any
-/// parked subtrace longer than a threshold (so no single giant subtree
-/// serializes the pool), the work list is sorted by descending length
-/// (longest-processing-time-first), and workers greedily pull from an
-/// atomic cursor. Each worker owns a private [`Scratch`] arena sized by its
-/// first (largest) item, so the pool performs no steady-state allocation.
-/// The split threshold is independent of `threads`, which keeps the output
-/// byte-identical to the serial engine for every worker count (asserted by
-/// the test suite).
-///
-/// # Panics
-///
-/// Panics if the trace holds `u32::MAX` or more references.
-///
-/// # Examples
-///
-/// ```
-/// use std::num::NonZeroUsize;
-/// use cachedse_core::dfs;
-/// use cachedse_trace::{generate, strip::StrippedTrace};
-///
-/// let trace = generate::uniform_random(5_000, 512, 3);
-/// let stripped = StrippedTrace::from_trace(&trace);
-/// let serial = dfs::level_profiles(&stripped, 9);
-/// let parallel = dfs::level_profiles_parallel(
-///     &stripped,
-///     9,
-///     NonZeroUsize::new(4).expect("nonzero"),
-/// );
-/// assert_eq!(serial, parallel);
-/// ```
-#[must_use]
-pub fn level_profiles_parallel(
-    stripped: &StrippedTrace,
-    max_index_bits: u32,
-    threads: std::num::NonZeroUsize,
-) -> Vec<DepthProfile> {
-    let total = stripped.total_len();
-    assert!(
-        total < u32::MAX as usize,
-        "trace too long for u32 sweep positions"
-    );
-
-    let mut histograms: Vec<Vec<u64>> = vec![Vec::new(); max_index_bits as usize + 1];
-    let addrs = address_table(stripped);
-
-    // Serial gather prefix: split any subtrace longer than the threshold,
-    // accumulating the split levels' histograms on the way down and parking
-    // the pieces for the pool.
-    let threshold = (total / TARGET_WORK_ITEMS).max(MIN_PARK_LEN);
-    let mut gather_scratch = Scratch::new(addrs.len());
-    let mut work: Vec<(u32, usize, Vec<u32>)> = Vec::new();
-    let root: Vec<u32> = stripped.id_sequence().iter().map(|id| id.raw()).collect();
-    let mut stack: Vec<(u32, usize, Vec<u32>)> = vec![(0, stripped.unique_len(), root)];
-    while let Some((level, node_unique, sub)) = stack.pop() {
-        if level == max_index_bits || sub.len() <= threshold {
-            work.push((level, node_unique, sub));
-            continue;
-        }
-        gather_scratch.ensure(level + 1);
-        gather_scratch.load(level, &sub);
-        let outcome = sweep::<true>(
-            &mut gather_scratch,
-            level,
-            0,
-            sub.len(),
-            node_unique,
-            &addrs,
-            &mut histograms[level as usize],
-        );
-        let children = &gather_scratch.levels[level as usize + 1];
-        if outcome.visit_left {
-            stack.push((
-                level + 1,
-                outcome.left_unique,
-                children[..outcome.left_len].to_vec(),
-            ));
-        }
-        if outcome.visit_right {
-            stack.push((
-                level + 1,
-                outcome.right_unique,
-                children[outcome.left_len..outcome.left_len + outcome.right_len].to_vec(),
-            ));
-        }
-    }
-
-    if !work.is_empty() {
-        // LPT: longest items first, so the greedy pull balances the pool
-        // and each worker's arena is sized once, by its first item.
-        work.sort_by_key(|item| std::cmp::Reverse(item.2.len()));
-        let worker_count = threads.get().min(work.len());
-        // Work-stealing cursor. `Relaxed` is sufficient: the cursor only
-        // needs each `fetch_add` to be atomic (every index claimed exactly
-        // once); the claimed items themselves are read-only shared slices,
-        // and the per-worker results are published by the scope join, which
-        // synchronizes-with every worker exit.
-        let next = cachedse_sync::atomic::AtomicUsize::new(0);
-        let locals = cachedse_sync::thread::scope(|scope| {
-            let handles: Vec<_> = (0..worker_count)
-                .map(|_| {
-                    let next = &next;
-                    let work = &work;
-                    let addrs = &addrs;
-                    scope.spawn(move || {
-                        let mut local: Vec<Vec<u64>> =
-                            vec![Vec::new(); max_index_bits as usize + 1];
-                        let mut scratch = Scratch::new(addrs.len());
-                        loop {
-                            let i = next.fetch_add(1, cachedse_sync::atomic::Ordering::Relaxed);
-                            let Some((level, node_unique, sub)) = work.get(i) else {
-                                break;
-                            };
-                            scratch.ensure(max_index_bits);
-                            scratch.load(*level, sub);
-                            visit(
-                                &mut scratch,
-                                Node {
-                                    level: *level,
-                                    start: 0,
-                                    len: sub.len(),
-                                    unique: *node_unique,
-                                },
-                                max_index_bits,
-                                addrs,
-                                &mut local,
-                            );
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker does not panic"))
-                .collect::<Vec<_>>()
-        });
-        for local in locals {
-            for (level, hist) in local.into_iter().enumerate() {
-                if histograms[level].len() < hist.len() {
-                    histograms[level].resize(hist.len(), 0);
-                }
-                for (slot, v) in histograms[level].iter_mut().zip(hist) {
-                    *slot += v;
-                }
-            }
-        }
-    }
-
-    finalize(histograms, stripped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,81 +529,6 @@ mod tests {
             assert_eq!(&dfs, &materialized(&trace, max_bits));
             assert_eq!(&dfs, &profile_depths(&trace, max_bits));
         }
-    }
-
-    /// The parallel engine is byte-identical to the serial one for any
-    /// trace, bit budget, and worker count.
-    #[test]
-    fn parallel_equals_serial() {
-        let mut rng = SplitMix64::seed_from_u64(0x9A8);
-        for _ in 0..32 {
-            let len = rng.gen_range(1usize..300);
-            let trace: Trace = (0..len)
-                .map(|_| Record::read(Address::new(rng.gen_range(0u32..120))))
-                .collect();
-            let max_bits = rng.gen_range(0u32..9);
-            let threads = rng.gen_range(1usize..6);
-            let stripped = StrippedTrace::from_trace(&trace);
-            let serial = level_profiles(&stripped, max_bits);
-            let parallel = level_profiles_parallel(
-                &stripped,
-                max_bits,
-                std::num::NonZeroUsize::new(threads).expect("nonzero"),
-            );
-            assert_eq!(serial, parallel);
-        }
-    }
-
-    /// Long traces exercise the gather/park/LPT path (the threshold is
-    /// only exceeded by traces longer than [`MIN_PARK_LEN`]).
-    #[test]
-    fn parallel_splits_long_traces() {
-        let trace = generate::working_set_phases(6, 4 * MIN_PARK_LEN as u32, 96, 17);
-        assert!(trace.len() > MIN_PARK_LEN);
-        let stripped = StrippedTrace::from_trace(&trace);
-        let bits = trace.address_bits();
-        let serial = level_profiles(&stripped, bits);
-        for threads in [1, 2, 3, 8] {
-            let parallel = level_profiles_parallel(
-                &stripped,
-                bits,
-                std::num::NonZeroUsize::new(threads).expect("nonzero"),
-            );
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_on_workload_shapes() {
-        for trace in [
-            generate::loop_with_excursions(0, 128, 80, 11, 1 << 14, 9),
-            generate::working_set_phases(8, 400, 64, 2),
-        ] {
-            let stripped = StrippedTrace::from_trace(&trace);
-            let bits = trace.address_bits();
-            let serial = level_profiles(&stripped, bits);
-            for threads in [1, 2, 8] {
-                let parallel = level_profiles_parallel(
-                    &stripped,
-                    bits,
-                    std::num::NonZeroUsize::new(threads).expect("nonzero"),
-                );
-                assert_eq!(serial, parallel, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_empty_trace() {
-        let profiles = level_profiles_parallel(
-            &StrippedTrace::from_trace(&Trace::new()),
-            4,
-            std::num::NonZeroUsize::new(3).expect("nonzero"),
-        );
-        assert_eq!(
-            profiles,
-            level_profiles(&StrippedTrace::from_trace(&Trace::new()), 4)
-        );
     }
 
     /// A scratch arena whose epoch counter is about to wrap must keep

@@ -34,11 +34,8 @@ pub enum MissBudget {
 /// — the reference they are checked against, not an engine itself. Each
 /// wins on some traces, so the default, [`Engine::Auto`], picks one per
 /// trace; pinning an engine is for benchmarks and differential tests.
-/// They share one scheduling rule: pinning `threads ≥ 2` via
-/// [`DesignSpaceExplorer::threads`] / [`prepare_stripped`] runs the
-/// engine's parallel implementation — same bytes, split across a worker
-/// pool — and the default (no pin, or 1) stays serial so pooled services
-/// don't oversubscribe their own workers.
+/// Every engine runs serially, one analysis on one thread: services run
+/// whole analyses in parallel across their worker pool instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Runs [`Engine::Streamed`] or [`Engine::DepthFirst`], whichever one
@@ -50,13 +47,10 @@ pub enum Engine {
     /// The streamed MRCT→postlude fusion (DESIGN.md §16): the tombstone
     /// recency-array replay of [`Mrct::build`](crate::Mrct::build) with each
     /// conflict set folded into the per-level histograms the moment it is
-    /// produced — `O(unique refs)` memory, no arena, no sizing pass. Its
-    /// parallel form is the chunked fold of DESIGN.md §17.
+    /// produced — `O(unique refs)` memory, no arena, no sizing pass.
     Streamed,
     /// The Section 2.4 combined algorithm: depth-first subtrace partitioning,
-    /// linear space, no materialized BCAT/MRCT. Its parallel form fans BCAT
-    /// subtrees out over a worker pool — the paper's §2.4 distributed-sets
-    /// remark, in threads.
+    /// linear space, no materialized BCAT/MRCT.
     DepthFirst,
 }
 
@@ -128,7 +122,6 @@ pub struct DesignSpaceExplorer<'a> {
     trace: &'a Trace,
     max_index_bits: Option<u32>,
     engine: Engine,
-    threads: Option<std::num::NonZeroUsize>,
 }
 
 impl<'a> DesignSpaceExplorer<'a> {
@@ -139,7 +132,6 @@ impl<'a> DesignSpaceExplorer<'a> {
             trace,
             max_index_bits: None,
             engine: Engine::default(),
-            threads: None,
         }
     }
 
@@ -159,17 +151,6 @@ impl<'a> DesignSpaceExplorer<'a> {
         self
     }
 
-    /// Pins the worker count: `threads ≥ 2` runs the engine's parallel
-    /// form on that many workers; 1 (or no pin, the default) runs it
-    /// serially. The result never depends on this value
-    /// — only the wall clock does — so benchmarks and services can set it
-    /// for reproducible scheduling.
-    #[must_use]
-    pub fn threads(mut self, threads: std::num::NonZeroUsize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Runs the prelude and postlude phases once, retaining the per-depth
     /// miss profiles so several budgets can be queried without re-analysis
     /// (how the paper's Tables 7–30 sweep K ∈ {5, 10, 15, 20}%).
@@ -184,7 +165,7 @@ impl<'a> DesignSpaceExplorer<'a> {
             return Err(ExploreError::EmptyTrace);
         }
         let stripped = StrippedTrace::from_trace(self.trace);
-        prepare_stripped(&stripped, self.max_index_bits, self.engine, self.threads)
+        prepare_stripped(&stripped, self.max_index_bits, self.engine, None)
     }
 
     /// One-shot exploration: [`prepare`](Self::prepare) followed by
@@ -209,10 +190,14 @@ impl<'a> DesignSpaceExplorer<'a> {
 /// re-stripped every run. [`DesignSpaceExplorer::prepare`] is now a thin
 /// wrapper over this function.
 ///
-/// [`Engine::Auto`] is resolved here, once per trace. `threads = Some(n ≥
-/// 2)` runs the resolved engine's parallel form on `n` workers; `None` or
-/// 1 keeps it serial (pooled callers already parallelize across traces).
-/// The result never depends on the engine or the worker count.
+/// [`Engine::Auto`] is resolved here, once per trace, and the resolved
+/// engine runs serially. The result never depends on the engine.
+///
+/// `_retired` is the slot of the retired worker count. Its type is
+/// uninhabited, so every caller passes `None` and it selects nothing. It
+/// survives only because the benchmark harness passes that literal; the
+/// next change to that harness deletes it, together with
+/// `TraceArtifacts::tree`.
 ///
 /// # Errors
 ///
@@ -223,7 +208,7 @@ pub fn prepare_stripped(
     stripped: &StrippedTrace,
     max_index_bits: Option<u32>,
     engine: Engine,
-    threads: Option<std::num::NonZeroUsize>,
+    _retired: Option<std::convert::Infallible>,
 ) -> Result<Exploration, ExploreError> {
     if stripped.is_empty() {
         return Err(ExploreError::EmptyTrace);
@@ -236,13 +221,10 @@ pub fn prepare_stripped(
         Engine::Auto => auto_engine(stripped, max_bits),
         pinned => pinned,
     };
-    let workers = threads.filter(|t| t.get() >= 2);
-    // `engine` is resolved, so the catch-all arms are depth-first.
-    let profiles = match (engine, workers) {
-        (Engine::Streamed, Some(t)) => streamed::level_profiles_parallel(stripped, max_bits, t),
-        (Engine::Streamed, None) => streamed::level_profiles(stripped, max_bits),
-        (_, Some(t)) => dfs::level_profiles_parallel(stripped, max_bits, t),
-        (_, None) => dfs::level_profiles(stripped, max_bits),
+    // `engine` is resolved, so the catch-all arm is depth-first.
+    let profiles = match engine {
+        Engine::Streamed => streamed::level_profiles(stripped, max_bits),
+        _ => dfs::level_profiles(stripped, max_bits),
     };
     Ok(Exploration {
         profiles,
@@ -563,7 +545,7 @@ impl ExplorationResult {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let app_a = generate::loop_pattern(0, 32, 50);
 /// let app_b = generate::strided(0, 8, 16, 50);
-/// let shared = SharedExploration::prepare(&[&app_a, &app_b], None)?;
+/// let shared = SharedExploration::prepare(&[&app_a, &app_b])?;
 /// // One prelude per trace, arbitrarily many budget sweeps:
 /// let strict = shared.result(MissBudget::Absolute(0))?;
 /// let loose = shared.result(MissBudget::FractionOfMax(0.20))?;
@@ -585,10 +567,7 @@ impl SharedExploration {
     /// [`ExploreError::EmptyTrace`] if `traces` is empty or any trace is
     /// empty; [`ExploreError::IndexBitsTooLarge`] as in
     /// [`prepare_stripped`].
-    pub fn prepare(
-        traces: &[&Trace],
-        threads: Option<std::num::NonZeroUsize>,
-    ) -> Result<Self, ExploreError> {
+    pub fn prepare(traces: &[&Trace]) -> Result<Self, ExploreError> {
         let bits = traces
             .iter()
             .map(|t| t.address_bits())
@@ -601,7 +580,7 @@ impl SharedExploration {
                     return Err(ExploreError::EmptyTrace);
                 }
                 let stripped = StrippedTrace::from_trace(trace);
-                prepare_stripped(&stripped, Some(bits), Engine::Auto, threads)
+                prepare_stripped(&stripped, Some(bits), Engine::Auto, None)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { explorations })
@@ -666,7 +645,7 @@ pub fn explore_shared(
     traces: &[&Trace],
     budget: MissBudget,
 ) -> Result<Vec<DesignPoint>, ExploreError> {
-    SharedExploration::prepare(traces, None)?.result(budget)
+    SharedExploration::prepare(traces)?.result(budget)
 }
 
 #[cfg(test)]
@@ -868,19 +847,17 @@ mod tests {
 
     /// A loop reuses each address after a short span, so the fold is cheap;
     /// uniform accesses over a large space reuse after long spans, so
-    /// depth-first wins. `Auto` reports what it ran, serial or parallel.
+    /// depth-first wins. `Auto` reports what it ran.
     #[test]
     fn auto_resolves_per_trace() {
         let looped = generate::loop_pattern(0, 32, 50);
         let random = generate::uniform_random(20_000, 1 << 14, 3);
         for (trace, expected) in [(looped, Engine::Streamed), (random, Engine::DepthFirst)] {
             let stripped = StrippedTrace::from_trace(&trace);
-            for threads in [None, std::num::NonZeroUsize::new(2)] {
-                let auto = prepare_stripped(&stripped, None, Engine::Auto, threads).unwrap();
-                assert_eq!(auto.engine(), expected, "threads {threads:?}");
-                let pinned = prepare_stripped(&stripped, None, expected, None).unwrap();
-                assert_eq!(auto, pinned);
-            }
+            let auto = prepare_stripped(&stripped, None, Engine::Auto, None).unwrap();
+            assert_eq!(auto.engine(), expected);
+            let pinned = prepare_stripped(&stripped, None, expected, None).unwrap();
+            assert_eq!(auto, pinned);
         }
     }
 
@@ -958,7 +935,7 @@ mod tests {
             ExploreError::EmptyTrace
         );
         assert_eq!(
-            SharedExploration::prepare(&[], None).unwrap_err(),
+            SharedExploration::prepare(&[]).unwrap_err(),
             ExploreError::EmptyTrace
         );
     }
@@ -972,7 +949,7 @@ mod tests {
             generate::working_set_phases(3, 200, 24, 7),
         ];
         let refs: Vec<&Trace> = apps.iter().collect();
-        let shared = SharedExploration::prepare(&refs, None).unwrap();
+        let shared = SharedExploration::prepare(&refs).unwrap();
         assert_eq!(shared.explorations().len(), refs.len());
         for budget in [
             MissBudget::Absolute(0),
@@ -983,28 +960,6 @@ mod tests {
                 shared.result(budget).unwrap(),
                 explore_shared(&refs, budget).unwrap()
             );
-        }
-    }
-
-    /// Pinning `threads ≥ 2` routes each engine through its parallel
-    /// implementation; the exploration must not change for any worker
-    /// count.
-    #[test]
-    fn pinned_thread_counts_do_not_change_results() {
-        let trace = generate::working_set_phases(4, 300, 40, 3);
-        for engine in [Engine::Auto, Engine::Streamed, Engine::DepthFirst] {
-            let baseline = DesignSpaceExplorer::new(&trace)
-                .engine(engine)
-                .explore(MissBudget::Absolute(25))
-                .unwrap();
-            for threads in [1, 2, 5, 8] {
-                let pinned = DesignSpaceExplorer::new(&trace)
-                    .engine(engine)
-                    .threads(std::num::NonZeroUsize::new(threads).expect("nonzero"))
-                    .explore(MissBudget::Absolute(25))
-                    .unwrap();
-                assert_eq!(baseline, pinned, "{engine}, threads = {threads}");
-            }
         }
     }
 }

@@ -72,7 +72,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod recency;
 
 pub mod bcat;
 pub mod dfs;

@@ -35,24 +35,87 @@
 //! both the binary search and the `O(dead)` ordered insert per recurrence.
 //! Tombstoning becomes `O(1)` flat, which matters on adversarial traces
 //! whose recurrences cluster between compactions (see `benches/streamed`).
-//!
-//! The same order-insensitivity that lets sets fold eagerly also lets the
-//! replay itself be **chunked across cores**: see
-//! [`level_profiles_parallel`].
-
-use std::num::NonZeroUsize;
+//! Compaction itself is not: see `Recency::should_compact` for its cost.
 
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::{RefId, StrippedTrace};
 
 use crate::postlude::{address_table, finalize};
-use crate::recency::{self, Recency, ABSENT};
 
-/// Work items handed to the parallel pool per requested thread: mild
-/// oversubscription so the greedy LPT pull can rebalance when the span
-/// weights mispredict the true fold cost (they are exact up to tombstone
-/// count, so 4× is plenty).
-const CHUNKS_PER_THREAD: usize = 4;
+/// Tombstone marker for dead recency-array slots (and the "not on the
+/// list" marker for `live_pos`). Any real identifier is `< N' < u32::MAX`.
+const ABSENT: u32 = u32::MAX;
+
+/// The tombstone-compacted recency array the fold replays: live references
+/// in last-access order, dead entries tombstoned in place (`O(1)`
+/// move-to-back), the whole array rewritten once tombstones pass a small
+/// fraction of the live entries. `Mrct::build`'s emission pass runs the
+/// same discipline inline against its own sorted dead-position index.
+///
+/// `seq` holds the recency list oldest to newest with dead slots marked
+/// [`ABSENT`]; `live_pos[r]` is the index of `r`'s live entry (or
+/// [`ABSENT`]); `live`/`dead` count the two entry kinds, driving the
+/// compaction trigger.
+#[derive(Debug)]
+struct Recency {
+    /// The recency array, oldest live entry first, tombstones in place.
+    seq: Vec<u32>,
+    /// Per-reference index into `seq`, [`ABSENT`] when never touched.
+    live_pos: Vec<u32>,
+    /// Number of live entries in `seq`.
+    live: usize,
+    /// Number of tombstoned entries in `seq`.
+    dead: usize,
+}
+
+impl Recency {
+    /// An empty replay state over `n_unique` references; `seq` is sized
+    /// for the smaller of the unique count and the sequence length, the
+    /// same pre-reservation `Mrct::build` uses.
+    fn new(n_unique: usize, sequence_len: usize) -> Self {
+        Self {
+            seq: Vec::with_capacity(n_unique.min(sequence_len) + 1),
+            live_pos: vec![ABSENT; n_unique],
+            live: 0,
+            dead: 0,
+        }
+    }
+
+    /// `true` once tombstones exceed `live/256 + 8`, the same trigger as
+    /// `Mrct::build`. It keeps the folded suffixes dense, but it is not
+    /// `O(1)` amortized: each recurrence adds one tombstone, so the
+    /// trigger fires every `live/256 + 9` recurrences, and each
+    /// [`compact`](Self::compact) moves about `live` entries. That is
+    /// about `min(256, live/8)` moves per recurrence. On an instruction
+    /// trace with ~300 unique references it is ~30 moves per recurrence,
+    /// as much as the fold's own ~13 members.
+    #[inline]
+    fn should_compact(&self) -> bool {
+        self.dead > self.live / 256 + 8
+    }
+
+    /// Rewrites `seq` to live entries only and refreshes `live_pos`.
+    /// Compaction is semantically transparent: it changes neither the set
+    /// of live references nor their relative recency order, which is all
+    /// the fold reads.
+    fn compact(&mut self) {
+        let mut w = 0;
+        for j in 0..self.seq.len() {
+            let x = self.seq[j];
+            if x != ABSENT {
+                self.live_pos[x as usize] = w as u32;
+                self.seq[w] = x;
+                w += 1;
+            }
+        }
+        debug_assert_eq!(
+            w, self.live,
+            "compaction must retain exactly the live entries"
+        );
+        self.seq.truncate(w);
+        self.dead = 0;
+    }
+}
 
 /// Computes the exact miss profile of every depth `1, 2, …, 2^max_index_bits`
 /// in one fused replay pass — byte-identical to
@@ -94,168 +157,13 @@ pub fn level_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Dept
     finalize(hist, stripped)
 }
 
-/// Chunked multi-core variant of [`level_profiles`], byte-identical for
-/// every thread count.
-///
-/// Two passes. Pass one is the recency replay **alone** — `O(N)`, no
-/// member folding, which is the `O(total conflict elements)` cost that
-/// dominates — run serially to (a) bucket each recurrence's span weight by
-/// trace position and cut the trace into [`CHUNKS_PER_THREAD`]`×threads`
-/// chunks of roughly equal fold work, then (b) capture a force-compacted
-/// snapshot of the recency state (`seq`/`live_pos`, `O(unique)` each) at
-/// every chunk boundary. Pass two replays each chunk from its snapshot in
-/// parallel workers (through the `cachedse-sync` shim, so the model
-/// checker can explore the fan-out/merge — see `tests/model_streamed.rs`),
-/// folding conflict sets into private per-level histograms that merge
-/// additively at the end.
-///
-/// **Why the merge is byte-identical to serial.** A chunk's snapshot holds
-/// exactly the live set and last-access order the serial replay has at
-/// that position — compaction is semantically transparent, so forcing it
-/// at the boundary changes nothing a fold can observe. Each recurrence
-/// therefore folds against exactly the members it would fold against
-/// serially, contributing the same `(level, d)` increments; and since
-/// histogram cells are sums of such increments, partitioning them across
-/// workers and adding the partial histograms reproduces the serial counts
-/// exactly — not approximately. The final [`DepthProfile`] construction is
-/// shared with the serial path.
-///
-/// Degenerate inputs — one thread, a trace with fewer than two references,
-/// or no recurrences at all (zero fold work) — fall back to the serial
-/// fold.
-///
-/// # Examples
-///
-/// ```
-/// use std::num::NonZeroUsize;
-/// use cachedse_core::streamed;
-/// use cachedse_trace::{generate, strip::StrippedTrace};
-///
-/// let trace = generate::uniform_random(5_000, 512, 3);
-/// let stripped = StrippedTrace::from_trace(&trace);
-/// let serial = streamed::level_profiles(&stripped, 9);
-/// let parallel = streamed::level_profiles_parallel(
-///     &stripped,
-///     9,
-///     NonZeroUsize::new(4).expect("nonzero"),
-/// );
-/// assert_eq!(serial, parallel);
-/// ```
-#[must_use]
-pub fn level_profiles_parallel(
-    stripped: &StrippedTrace,
-    max_index_bits: u32,
-    threads: NonZeroUsize,
-) -> Vec<DepthProfile> {
-    let sequence = stripped.id_sequence();
-    let n_unique = stripped.unique_len();
-    if threads.get() == 1 || sequence.len() < 2 {
-        return level_profiles(stripped, max_index_bits);
-    }
-
-    // Pass one (a): recency-only pre-scan → equal-work chunk boundaries.
-    let (bounds, weights) =
-        recency::weighted_boundaries(sequence, n_unique, threads.get() * CHUNKS_PER_THREAD);
-    let chunks = bounds.len() - 1;
-    if chunks < 2 {
-        return level_profiles(stripped, max_index_bits);
-    }
-
-    // Pass one (b): replay again, capturing a compacted snapshot at each
-    // interior boundary. Chunk 0 needs none (it starts from the empty
-    // state); chunk k ≥ 1 resumes from `snapshots[k - 1]`.
-    let mut snapshots = Vec::with_capacity(chunks - 1);
-    {
-        let mut replay = Recency::new(n_unique, sequence.len());
-        let mut next_cut = 1;
-        for (t, &id) in sequence.iter().enumerate() {
-            if next_cut < chunks && bounds[next_cut] == t {
-                snapshots.push(replay.snapshot());
-                next_cut += 1;
-            }
-            replay.advance(id);
-        }
-        debug_assert_eq!(snapshots.len(), chunks - 1);
-    }
-
-    let addrs = address_table(stripped);
-    let max_level = max_index_bits as usize;
-
-    // LPT: heaviest chunks first, so the greedy pull balances the pool.
-    let mut order: Vec<usize> = (0..chunks).collect();
-    order.sort_by_key(|&k| std::cmp::Reverse(weights[k]));
-    let worker_count = threads.get().min(chunks);
-
-    // Work-stealing cursor. `Relaxed` is sufficient: the cursor only needs
-    // each `fetch_add` to be atomic (every chunk claimed exactly once);
-    // the claimed inputs are read-only shared slices, and the per-worker
-    // histograms are published by the scope join, which synchronizes-with
-    // every worker exit.
-    let next = cachedse_sync::atomic::AtomicUsize::new(0);
-    let locals = cachedse_sync::thread::scope(|scope| {
-        let handles: Vec<_> = (0..worker_count)
-            .map(|_| {
-                let next = &next;
-                let order = &order;
-                let bounds = &bounds;
-                let snapshots = &snapshots;
-                let addrs = &addrs;
-                scope.spawn(move || {
-                    let mut hist: Vec<Vec<u64>> = vec![Vec::new(); max_level + 1];
-                    let mut bucket: Vec<u64> = vec![0; max_level + 1];
-                    loop {
-                        let i = next.fetch_add(1, cachedse_sync::atomic::Ordering::Relaxed);
-                        let Some(&k) = order.get(i) else {
-                            break;
-                        };
-                        let mut replay = if k == 0 {
-                            Recency::new(n_unique, sequence.len())
-                        } else {
-                            snapshots[k - 1].restore()
-                        };
-                        fold_chunk(
-                            &mut replay,
-                            &sequence[bounds[k]..bounds[k + 1]],
-                            addrs,
-                            max_level,
-                            &mut hist,
-                            &mut bucket,
-                        );
-                    }
-                    hist
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("streamed worker does not panic"))
-            .collect::<Vec<_>>()
-    });
-
-    // Additive merge: histogram cells are sums of per-recurrence
-    // increments, and the chunks partition the recurrences.
-    let mut hist: Vec<Vec<u64>> = vec![Vec::new(); max_level + 1];
-    for local in locals {
-        for (level, partial) in local.into_iter().enumerate() {
-            if hist[level].len() < partial.len() {
-                hist[level].resize(partial.len(), 0);
-            }
-            for (slot, v) in hist[level].iter_mut().zip(partial) {
-                *slot += v;
-            }
-        }
-    }
-    finalize(hist, stripped)
-}
-
 /// Folds one contiguous run of the trace into `hist`, advancing `replay`
 /// through it. `hist[l][d]` counts the conflict sets with exactly `d`
 /// same-row members at level `l` (only `d > 0` is recorded, mirroring the
 /// materialized postlude); `bucket[b]` holds, for the set currently being
 /// folded, the members whose shared-row depth — clamped to `max_level` —
 /// is exactly `b`, and the level walk drains it back to all-zeros before
-/// the next set starts. The serial path folds the whole sequence in one
-/// call; the parallel path folds each chunk from its boundary snapshot.
+/// the next set starts.
 fn fold_chunk(
     replay: &mut Recency,
     chunk: &[RefId],
@@ -307,8 +215,8 @@ fn fold_chunk(
         }
         replay.live_pos[i] = u32::try_from(replay.seq.len()).expect("recency position fits u32");
         replay.seq.push(id.raw());
-        // Compact once tombstones could fragment the folded suffixes:
-        // amortized O(1) per access, same threshold as `Mrct::build`.
+        // Compact once tombstones could fragment the folded suffixes (the
+        // trigger's cost is on `should_compact`).
         if replay.should_compact() {
             replay.compact();
         }
@@ -329,14 +237,6 @@ mod tests {
 
     fn fused(trace: &Trace, max_bits: u32) -> Vec<DepthProfile> {
         level_profiles(&StrippedTrace::from_trace(trace), max_bits)
-    }
-
-    fn fused_parallel(trace: &Trace, max_bits: u32, threads: usize) -> Vec<DepthProfile> {
-        level_profiles_parallel(
-            &StrippedTrace::from_trace(trace),
-            max_bits,
-            NonZeroUsize::new(threads).expect("nonzero"),
-        )
     }
 
     #[test]
@@ -361,27 +261,6 @@ mod tests {
             let bits = trace.address_bits();
             assert_eq!(fused(&trace, bits), materialized(&trace, bits));
             assert_eq!(fused(&trace, bits), profile_depths(&trace, bits));
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_workloads() {
-        for trace in [
-            generate::loop_pattern(0x40, 24, 20),
-            generate::strided(0, 4, 64, 6),
-            generate::uniform_random(800, 128, 11),
-            generate::working_set_phases(4, 150, 24, 2),
-            generate::loop_with_excursions(0, 48, 30, 11, 1 << 10, 5),
-        ] {
-            let bits = trace.address_bits();
-            let serial = fused(&trace, bits);
-            for threads in [1, 2, 4, 8] {
-                assert_eq!(
-                    serial,
-                    fused_parallel(&trace, bits, threads),
-                    "threads {threads}"
-                );
-            }
         }
     }
 
@@ -411,12 +290,6 @@ mod tests {
                 .collect();
             let max_bits = rng.gen_range(0u32..8);
             assert_eq!(fused(&trace, max_bits), materialized(&trace, max_bits));
-            let threads = rng.gen_range(2usize..9);
-            assert_eq!(
-                fused(&trace, max_bits),
-                fused_parallel(&trace, max_bits, threads),
-                "threads {threads}"
-            );
         }
     }
 
@@ -435,8 +308,5 @@ mod tests {
         let trace: Trace = records.into_iter().collect();
         let bits = 6;
         assert_eq!(fused(&trace, bits), materialized(&trace, bits));
-        for threads in [2, 4, 8] {
-            assert_eq!(fused(&trace, bits), fused_parallel(&trace, bits, threads));
-        }
     }
 }

@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cachedse_core::{dfs, Engine};
+use cachedse_core::dfs;
 use cachedse_store::ArtifactStore;
 use cachedse_sync::atomic::{AtomicBool, Ordering};
 use cachedse_sync::thread::{self, JoinHandle};
@@ -56,10 +56,6 @@ pub struct ServiceConfig {
     /// the entry's per-depth profiles with the depth-first engine and
     /// compare them to the bytes that will answer the job.
     pub validate: bool,
-    /// Worker pin for each analysis: `threads ≥ 2` runs the engine
-    /// [`Engine::Auto`] picks on that many workers; `None` or 1 runs it
-    /// serially (the pool already parallelizes across jobs).
-    pub threads: Option<std::num::NonZeroUsize>,
     /// Backing artifact store attached to the cache (`None` = memory-only).
     /// With a store, analyses write through and survive both in-memory
     /// eviction and process restart, and jobs may name their trace by
@@ -75,7 +71,6 @@ impl Default for ServiceConfig {
             cache_capacity: 16,
             default_timeout_ms: None,
             validate: false,
-            threads: None,
             store: None,
         }
     }
@@ -402,12 +397,7 @@ fn run_job(inner: &Inner, label: &str, spec: &JobSpec) -> JobOutcome {
         let key = ArtifactKey::of(&trace, max_index_bits);
         let (artifacts, found) = inner.cache.get_or_build(key, || {
             let analyze_start = Instant::now();
-            let built = TraceArtifacts::build_with(
-                &trace,
-                max_index_bits,
-                Engine::default(),
-                inner.config.threads,
-            );
+            let built = TraceArtifacts::build(&trace, max_index_bits);
             metrics.record_stage(Stage::Analyze, analyze_start.elapsed());
             built.map_err(JobError::from)
         })?;
@@ -530,7 +520,7 @@ fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
 mod tests {
     use super::*;
     use crate::job::PatternSpec;
-    use cachedse_core::MissBudget;
+    use cachedse_core::{Engine, MissBudget};
 
     fn loop_spec(id: &str, iterations: u32, budget: u64) -> JobSpec {
         JobSpec {
@@ -749,7 +739,7 @@ mod tests {
         let trace = load_trace(&loop_spec("x", 10, 0).trace).unwrap();
         let key = ArtifactKey::of(&trace, trace.address_bits());
         let built =
-            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed, None).unwrap();
+            TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed).unwrap();
         let mut profiles = built.exploration.profiles().to_vec();
         assert!(inject_profiles(&mut profiles, FaultKind::StreamedCountSkew));
         let exploration =

@@ -67,19 +67,18 @@ pub struct TraceArtifacts {
 impl TraceArtifacts {
     /// Analyzes `trace` with the engine [`Engine::Auto`] picks for it:
     /// shorthand for [`build_with`](Self::build_with) with
-    /// [`Engine::default`] and no worker pin.
+    /// [`Engine::default`].
     ///
     /// # Errors
     ///
     /// Propagates [`ExploreError`] (empty trace, oversized index cap).
     pub fn build(trace: &Trace, max_index_bits: u32) -> Result<Self, ExploreError> {
-        Self::build_with(trace, max_index_bits, Engine::default(), None)
+        Self::build_with(trace, max_index_bits, Engine::default())
     }
 
     /// Strips `trace` and analyzes it with `engine` through
-    /// [`prepare_stripped`], `threads ≥ 2` selecting the engine's
-    /// parallel implementation. Every combination answers byte-identical
-    /// profiles, and the bundle keeps only those and the stripped trace.
+    /// [`prepare_stripped`]. Every engine answers byte-identical profiles,
+    /// and the bundle keeps only those and the stripped trace.
     ///
     /// # Errors
     ///
@@ -88,10 +87,9 @@ impl TraceArtifacts {
         trace: &Trace,
         max_index_bits: u32,
         engine: Engine,
-        threads: Option<std::num::NonZeroUsize>,
     ) -> Result<Self, ExploreError> {
         let stripped = StrippedTrace::from_trace(trace);
-        let exploration = prepare_stripped(&stripped, Some(max_index_bits), engine, threads)?;
+        let exploration = prepare_stripped(&stripped, Some(max_index_bits), engine, None)?;
         Ok(Self {
             stripped,
             tree: None,

@@ -431,8 +431,7 @@ mod tests {
     fn sample(engine: Engine) -> (ArtifactKey, TraceArtifacts) {
         let trace = generate::working_set_phases(2, 150, 32, 9);
         let key = ArtifactKey::of(&trace, trace.address_bits());
-        let artifacts =
-            TraceArtifacts::build_with(&trace, key.max_index_bits, engine, None).unwrap();
+        let artifacts = TraceArtifacts::build_with(&trace, key.max_index_bits, engine).unwrap();
         (key, artifacts)
     }
 

@@ -353,17 +353,10 @@ mod tests {
         let reference =
             cachedse_core::postlude::materialized_profiles(&default.stripped, key.max_index_bits);
         for engine in [Engine::Streamed, Engine::DepthFirst] {
-            for threads in [None, std::num::NonZeroUsize::new(2)] {
-                let built = TraceArtifacts::build_with(&trace, key.max_index_bits, engine, threads)
-                    .unwrap();
-                assert_eq!(built.stripped, default.stripped);
-                assert_eq!(
-                    built.exploration.profiles(),
-                    reference,
-                    "{engine}, threads {threads:?}"
-                );
-                assert_eq!(built == default, engine == picked, "{engine}");
-            }
+            let built = TraceArtifacts::build_with(&trace, key.max_index_bits, engine).unwrap();
+            assert_eq!(built.stripped, default.stripped);
+            assert_eq!(built.exploration.profiles(), reference, "{engine}");
+            assert_eq!(built == default, engine == picked, "{engine}");
         }
     }
 

@@ -20,8 +20,8 @@
 //!   vector clocks maintained at every synchronization edge).
 //!
 //! The two personalities share one API so callers (`cachedse-serve`'s
-//! worker pool and `cachedse-core`'s parallel engine) compile identically
-//! under both. Semantics differences from raw `std`:
+//! worker pool and `cachedse-store`'s tier) compile identically under
+//! both. Semantics differences from raw `std`:
 //!
 //! - [`Mutex::lock`] returns the guard directly and **panics** on
 //!   poisoning (the workspace treats a panic while holding a lock as

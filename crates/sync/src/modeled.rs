@@ -341,24 +341,10 @@ pub mod atomic {
         std::sync::atomic::AtomicU64,
         u64
     );
-    modeled_atomic!(
-        /// Model-checked [`std::sync::atomic::AtomicUsize`].
-        AtomicUsize,
-        std::sync::atomic::AtomicUsize,
-        usize
-    );
 
     impl AtomicU64 {
         /// Atomic add, returning the previous value.
         pub fn fetch_add(&self, value: u64, order: Ordering) -> u64 {
-            self.access(acq(order), rel(order), "atomic-fetch-add");
-            self.inner.fetch_add(value, order)
-        }
-    }
-
-    impl AtomicUsize {
-        /// Atomic add, returning the previous value.
-        pub fn fetch_add(&self, value: usize, order: Ordering) -> usize {
             self.access(acq(order), rel(order), "atomic-fetch-add");
             self.inner.fetch_add(value, order)
         }

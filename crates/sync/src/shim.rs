@@ -201,25 +201,11 @@ pub mod atomic {
         std::sync::atomic::AtomicU64,
         u64
     );
-    passthrough_atomic!(
-        /// Shimmed [`std::sync::atomic::AtomicUsize`].
-        AtomicUsize,
-        std::sync::atomic::AtomicUsize,
-        usize
-    );
 
     impl AtomicU64 {
         /// Atomic add, returning the previous value.
         #[inline]
         pub fn fetch_add(&self, value: u64, order: Ordering) -> u64 {
-            self.inner.fetch_add(value, order)
-        }
-    }
-
-    impl AtomicUsize {
-        /// Atomic add, returning the previous value.
-        #[inline]
-        pub fn fetch_add(&self, value: usize, order: Ordering) -> usize {
             self.inner.fetch_add(value, order)
         }
     }
@@ -322,7 +308,7 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use super::atomic::{AtomicBool, AtomicU64, Ordering};
     use super::{thread, Condvar, Mutex, RaceCell};
     use std::sync::Arc;
 
@@ -362,9 +348,6 @@ mod tests {
         let n = AtomicU64::new(5);
         assert_eq!(n.fetch_add(3, Ordering::Relaxed), 5);
         assert_eq!(n.load(Ordering::Relaxed), 8);
-
-        let u = AtomicUsize::new(0);
-        assert_eq!(u.fetch_add(1, Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -108,22 +108,6 @@ fn hierarchy_l1_agrees_with_analytical_prediction() {
 }
 
 #[test]
-fn parallel_engine_full_pipeline() {
-    use cachedse::core::{verify, DesignSpaceExplorer, Engine, MissBudget};
-    let run = Pocsag { batches: 16 }.capture();
-    let serial = DesignSpaceExplorer::new(&run.data)
-        .explore(MissBudget::FractionOfMax(0.10))
-        .expect("non-empty");
-    let parallel = DesignSpaceExplorer::new(&run.data)
-        .engine(Engine::DepthFirst)
-        .threads(std::num::NonZeroUsize::new(2).expect("nonzero"))
-        .explore(MissBudget::FractionOfMax(0.10))
-        .expect("non-empty");
-    assert_eq!(serial, parallel);
-    verify::check_result(&run.data, &parallel).expect("verified");
-}
-
-#[test]
 fn line_size_coarsening_composes() {
     let run = Pocsag { batches: 8 }.capture();
     let coarse = run.data.block_aligned(2); // 4-word lines

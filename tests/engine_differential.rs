@@ -1,19 +1,15 @@
-//! Differential oracle for the depth-first engines.
+//! Differential oracle for the depth-first engine.
 //!
-//! The scratch-arena serial engine and the size-aware parallel scheduler
-//! must produce *byte-identical* per-level conflict-depth profiles to the
-//! materialized reference (`postlude::materialized_profiles`: BCAT, MRCT,
-//! Algorithm 3) — that equality is what lets the serve cache key stay
-//! engine-free. Two corpora exercise it:
+//! The scratch-arena engine must produce *byte-identical* per-level
+//! conflict-depth profiles to the materialized reference
+//! (`postlude::materialized_profiles`: BCAT, MRCT, Algorithm 3) — that
+//! equality is what lets the serve cache key stay engine-free. Two corpora
+//! exercise it:
 //!
 //! 1. every bundled kernel (both captured sides) at small parameters, and
 //! 2. a seeded SplitMix64 sweep of synthetic traces covering degenerate
 //!    shapes (single address, all-distinct, heavy reuse, power-of-two strides).
-//!
-//! Parallel runs are pinned at 1, 2, and 8 workers: the work-splitting
-//! threshold is thread-count independent, so every pinning must agree.
 
-use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
 use cachedse::core::{dfs, postlude};
@@ -87,9 +83,7 @@ impl OracleCase {
 
 /// The 24 kernel oracles (12 kernels × data+instr). The materialized golden
 /// is the expensive part of this suite, so it is built once per
-/// (kernel, trace-kind) here and shared across the serial and the
-/// {1, 2, 8}-worker comparisons instead of being rebuilt per engine
-/// variant.
+/// (kernel, trace-kind) here.
 fn kernel_oracles() -> &'static [OracleCase] {
     static CASES: OnceLock<Vec<OracleCase>> = OnceLock::new();
     CASES.get_or_init(|| {
@@ -105,31 +99,21 @@ fn kernel_oracles() -> &'static [OracleCase] {
     })
 }
 
-/// Asserts the serial and every pinned-worker parallel engine reproduce a
-/// prebuilt golden.
+/// Asserts depth-first reproduces a prebuilt golden.
 fn assert_engines_match_golden(
     label: &str,
     stripped: &StrippedTrace,
     bits: u32,
     golden: &[DepthProfile],
 ) {
-    let serial = dfs::level_profiles(stripped, bits);
     assert_eq!(
-        serial, golden,
-        "{label}: serial dfs diverged from the materialized reference"
+        dfs::level_profiles(stripped, bits),
+        golden,
+        "{label}: dfs diverged from the materialized reference"
     );
-    for workers in [1usize, 2, 8] {
-        let workers = NonZeroUsize::new(workers).expect("nonzero");
-        let parallel = dfs::level_profiles_parallel(stripped, bits, workers);
-        assert_eq!(
-            parallel, golden,
-            "{label}: parallel dfs ({workers} workers) diverged from the materialized reference"
-        );
-    }
 }
 
-/// Asserts serial and parallel depth-first match the materialized reference
-/// on `trace`, at every pinned worker count.
+/// Asserts depth-first matches the materialized reference on `trace`.
 fn assert_engines_agree(label: &str, trace: &Trace) {
     let case = OracleCase::of(label.to_owned(), trace);
     assert_engines_match_golden(&case.label, &case.stripped, case.bits, &case.golden);

@@ -111,36 +111,28 @@ fn every_engine_writes_the_same_entry_up_to_its_tag() {
     for run in small_runs() {
         let bits = run.data.address_bits().min(10);
         let key = ArtifactKey::of(&run.data, bits);
-        let encode_with = |engine, threads| {
-            let artifacts = TraceArtifacts::build_with(&run.data, bits, engine, threads)
+        let encode_with = |engine| {
+            let artifacts = TraceArtifacts::build_with(&run.data, bits, engine)
                 .unwrap_or_else(|e| panic!("{}: {engine} build failed: {e}", run.name));
             codec::encode(&key, &artifacts)
         };
-        let reference = encode_with(Analysis::Streamed, None);
+        let reference = encode_with(Analysis::Streamed);
         let checksum_at = reference.len() - 8;
-        for (engine, threads) in [
-            (Analysis::DepthFirst, None),
-            (Analysis::DepthFirst, std::num::NonZeroUsize::new(2)),
-        ] {
-            let bytes = encode_with(engine, threads);
-            assert_eq!(
-                bytes.len(),
-                reference.len(),
-                "{}: {engine} entry length",
-                run.name
-            );
-            let stray = (0..bytes.len()).find(|&i| {
-                bytes[i] != reference[i]
-                    && !(ENGINE_AT..ENGINE_AT + 4).contains(&i)
-                    && i < checksum_at
-            });
-            assert_eq!(stray, None, "{}: {engine} differs beyond its tag", run.name);
-            assert_ne!(
-                bytes[ENGINE_AT..ENGINE_AT + 4],
-                reference[ENGINE_AT..ENGINE_AT + 4],
-                "{}: {engine} tag",
-                run.name
-            );
-        }
+        let bytes = encode_with(Analysis::DepthFirst);
+        assert_eq!(bytes.len(), reference.len(), "{}: entry length", run.name);
+        let stray = (0..bytes.len()).find(|&i| {
+            bytes[i] != reference[i] && !(ENGINE_AT..ENGINE_AT + 4).contains(&i) && i < checksum_at
+        });
+        assert_eq!(
+            stray, None,
+            "{}: depth-first differs beyond its tag",
+            run.name
+        );
+        assert_ne!(
+            bytes[ENGINE_AT..ENGINE_AT + 4],
+            reference[ENGINE_AT..ENGINE_AT + 4],
+            "{}: depth-first tag",
+            run.name
+        );
     }
 }
