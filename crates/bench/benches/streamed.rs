@@ -2,12 +2,13 @@
 //! stress the inline-skip fold was built for.
 //!
 //! The `tombstone_churn` case is the pathological shape for any fold that
-//! maintains a sorted index of dead slots: a large live set (tens of
-//! thousands of entries, so the compaction trigger `dead > live/256 + 8`
-//! tolerates a long tombstone run) churned by short-span recurrences that
-//! do almost no fold work per access. An `O(dead)` insertion per
-//! tombstone goes quadratic between compactions here; the shipped fold
-//! pays one branch per swept member instead.
+//! maintains a sorted index of dead slots: a large live set (32,768
+//! entries) churned by short-span recurrences that do almost no fold work
+//! per access, so tombstones pile up inside every folded suffix. An
+//! `O(dead)` insertion per tombstone goes quadratic between compactions
+//! here. The shipped fold sends each swept tombstone to a sink bucket
+//! without a branch, and compacts once its scans have stepped over more
+//! tombstones than a compaction moves (`waste > live + dead`).
 
 use cachedse_bench::crit::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

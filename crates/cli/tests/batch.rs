@@ -41,7 +41,12 @@ fn cachedse_stdin(args: &[&str], input: &str) -> Output {
 /// when the process is still running after 60 s. Its output must fit the
 /// pipe buffers, since nothing reads them before it exits.
 fn cachedse_within_a_minute(args: &[&str], input: &str) -> Output {
-    let mut child = spawn_with_stdin(args, input);
+    within_a_minute(spawn_with_stdin(args, input), args)
+}
+
+/// Waits for `child`, killing it and failing the test when it is still
+/// running after 60 s.
+fn within_a_minute(mut child: Child, args: &[&str]) -> Output {
     let deadline = Instant::now() + Duration::from_secs(60);
     while child.try_wait().expect("poll the child").is_none() {
         if Instant::now() > deadline {
@@ -232,6 +237,79 @@ fn batch_refuses_hostile_pattern_specs_in_place() {
     );
     assert_eq!(lines[6].get("id").and_then(Value::as_str), Some("good"));
     assert_eq!(lines[6].get("ok").and_then(Value::as_bool), Some(true));
+}
+
+/// A `file` job naming a FIFO or a pipe is refused by name: opening or
+/// reading one blocks until a writer comes and goes, past any
+/// `timeout_ms`. Here the FIFO never gets a writer and `/dev/stdin` is a
+/// pipe the test holds open and never writes. A regular file still
+/// answers.
+#[cfg(unix)]
+#[test]
+fn batch_refuses_file_sources_that_are_not_regular_files() {
+    let dir = std::env::temp_dir().join(format!("cachedse-cli-fifo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let fifo = dir.join("trace.fifo");
+    let made = Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(made.success(), "mkfifo {}", fifo.display());
+    let regular = dir.join("trace.din");
+    std::fs::write(&regular, "0 10\n0 20\n0 10\n0 30\n0 20\n").expect("write trace");
+    let sources = [
+        ("fifo", fifo.to_str().expect("UTF-8 path")),
+        ("stdin", "/dev/stdin"),
+        ("regular", regular.to_str().expect("UTF-8 path")),
+    ];
+    let jobs: String = sources
+        .iter()
+        .map(|(id, path)| {
+            format!(
+                "{{\"id\":\"{id}\",\"trace\":{{\"file\":\"{path}\"}},\
+                 \"budget\":{{\"misses\":0}},\"timeout_ms\":1000}}\n"
+            )
+        })
+        .collect();
+    let jobs_file = dir.join("jobs.jsonl");
+    std::fs::write(&jobs_file, jobs).expect("write jobs");
+
+    let args = ["batch", jobs_file.to_str().expect("UTF-8 path")];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cachedse"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let open_stdin = child.stdin.take();
+    let out = within_a_minute(child, &args);
+    drop(open_stdin);
+
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let lines: Vec<Value> = stdout(&out)
+        .lines()
+        .map(|l| Value::parse(l).expect("result lines are JSON"))
+        .collect();
+    assert_eq!(lines.len(), 3, "{}", stdout(&out));
+    for (line, (id, path)) in lines.iter().zip(&sources[..2]) {
+        assert_eq!(line.get("id").and_then(Value::as_str), Some(*id));
+        assert_eq!(line.get("ok").and_then(Value::as_bool), Some(false));
+        let detail = line
+            .get("error")
+            .and_then(|e| e.get("detail"))
+            .and_then(Value::as_str)
+            .unwrap_or_default();
+        assert!(
+            detail.contains(&format!("{path}: not a regular file")),
+            "{}",
+            line.render()
+        );
+    }
+    assert_eq!(lines[2].get("id").and_then(Value::as_str), Some("regular"));
+    assert_eq!(lines[2].get("ok").and_then(Value::as_bool), Some(true));
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
 #[test]

@@ -14,7 +14,9 @@
 //!  "max_bits":10,"line_bits":0,"timeout_ms":5000}
 //! ```
 //!
-//! Trace sources: `{"file": "path.din"}` (Dinero text),
+//! Trace sources: `{"file": "path.din"}` (Dinero text in a regular file;
+//! a FIFO or a pipe such as `/dev/stdin` is refused, since reading one
+//! could block a worker past the job's deadline),
 //! `{"workload": name, "side": "data"|"instr", "seed": n}` (the twelve
 //! instrumented kernels), `{"pattern": kind, …}` with the generator
 //! parameters of `cachedse_trace::generate`, or `{"digest": "<16 hex>"}`

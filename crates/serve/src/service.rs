@@ -492,8 +492,15 @@ fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
         // the cache/store instead of loading a trace.
         TraceSource::Digest(digest) => Err(JobError::DigestUnknown { digest: *digest }),
         TraceSource::File(path) => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| JobError::Trace(format!("cannot open {path}: {e}")))?;
+            // Opening a FIFO or a pipe (`/dev/stdin`) blocks until a writer
+            // comes and reading it until the writer leaves, so it could hold
+            // a worker past any deadline. `metadata` follows symlinks and
+            // never blocks.
+            let cannot_open = |e| JobError::Trace(format!("cannot open {path}: {e}"));
+            if !std::fs::metadata(path).map_err(cannot_open)?.is_file() {
+                return Err(JobError::Trace(format!("{path}: not a regular file")));
+            }
+            let file = std::fs::File::open(path).map_err(cannot_open)?;
             read_din(file).map_err(|e| JobError::Trace(format!("{path}: {e}")))
         }
         TraceSource::Workload { name, side, seed } => {

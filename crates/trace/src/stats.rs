@@ -50,23 +50,18 @@ impl TraceStats {
         Self::of_stripped(&stripped)
     }
 
-    /// Computes the statistics from an already-stripped trace.
+    /// Computes the statistics from an already-stripped trace in `O(1)`:
+    /// the pass that built its identifier sequence also counted the
+    /// depth-1 misses.
     #[must_use]
     pub fn of_stripped(stripped: &StrippedTrace) -> Self {
-        let ids = stripped.id_sequence();
-        let mut total_misses: u64 = 0;
-        let mut prev = None;
-        for &id in ids {
-            if prev != Some(id) {
-                total_misses += 1;
-            }
-            prev = Some(id);
-        }
         let unique = stripped.unique_len();
         Self {
             total: stripped.total_len(),
             unique,
-            max_misses: total_misses.saturating_sub(unique as u64),
+            max_misses: stripped
+                .direct_mapped_misses()
+                .saturating_sub(unique as u64),
         }
     }
 
@@ -220,6 +215,49 @@ mod tests {
     #[should_panic(expected = "window must be non-empty")]
     fn working_set_curve_rejects_zero_window() {
         let _ = working_set_curve(&Trace::new(), 0);
+    }
+
+    /// `of_stripped` reads the count the stripping pass kept; this is the
+    /// second pass over the identifiers it replaced.
+    fn max_misses_by_walking(stripped: &StrippedTrace) -> u64 {
+        let mut total_misses: u64 = 0;
+        let mut prev = None;
+        for &id in stripped.id_sequence() {
+            if prev != Some(id) {
+                total_misses += 1;
+            }
+            prev = Some(id);
+        }
+        total_misses.saturating_sub(stripped.unique_len() as u64)
+    }
+
+    #[test]
+    fn stripping_counts_the_depth_one_misses() {
+        let mut rng = SplitMix64::seed_from_u64(0x0F_5712);
+        for case in 0..64 {
+            let len = rng.gen_range(0usize..400);
+            let space = rng.gen_range(1u32..40);
+            let addrs: Vec<u32> = (0..len).map(|_| rng.gen_range(0..space)).collect();
+            let stripped = StrippedTrace::from_trace(&reads(&addrs));
+            let walked = max_misses_by_walking(&stripped);
+            assert_eq!(
+                TraceStats::of_stripped(&stripped).max_misses,
+                walked,
+                "case {case}"
+            );
+            let rebuilt = StrippedTrace::from_parts(
+                stripped.unique_addresses().to_vec(),
+                stripped.id_sequence().to_vec(),
+                stripped.address_bits(),
+            )
+            .expect("a stripped trace's own parts");
+            assert_eq!(
+                TraceStats::of_stripped(&rebuilt).max_misses,
+                walked,
+                "case {case}"
+            );
+            assert_eq!(rebuilt, stripped);
+        }
     }
 
     #[test]

@@ -77,6 +77,10 @@ pub struct StrippedTrace {
     ids: Vec<RefId>,
     counts: Vec<u32>,
     address_bits: u32,
+    /// Positions whose identifier differs from the one before (the first
+    /// included): the misses of a depth-1 direct-mapped cache, counted by
+    /// whichever pass built the identifier sequence.
+    direct_mapped_misses: u64,
 }
 
 impl StrippedTrace {
@@ -92,6 +96,8 @@ impl StrippedTrace {
         let mut unique = Vec::new();
         let mut counts: Vec<u32> = Vec::new();
         let mut ids = Vec::with_capacity(trace.len());
+        let mut direct_mapped_misses = 0u64;
+        let mut prev = None;
         for addr in trace.addresses() {
             let next = unique.len() as u32;
             let id = RefId::new(table.get_or_insert(addr, next));
@@ -100,6 +106,8 @@ impl StrippedTrace {
                 counts.push(0);
             }
             counts[id.index()] += 1;
+            direct_mapped_misses += u64::from(prev != Some(id));
+            prev = Some(id);
             ids.push(id);
         }
         // `trace.address_bits()` over the N' unique addresses, sparing a
@@ -110,14 +118,16 @@ impl StrippedTrace {
             ids,
             counts,
             address_bits,
+            direct_mapped_misses,
         }
     }
 
     /// Reassembles a stripped trace from its flat parts: the unique
     /// addresses in identifier order and the identifier sequence — the two
     /// arrays the persistent artifact store spills to disk. The
-    /// per-reference occurrence counts are recomputed (they are derived
-    /// data), so a reassembled trace is `==` to the original.
+    /// per-reference occurrence counts and the depth-1 miss count are
+    /// recomputed in the same pass (they are derived data), so a
+    /// reassembled trace is `==` to the original.
     ///
     /// # Errors
     ///
@@ -139,7 +149,9 @@ impl StrippedTrace {
         // First-appearance order: walking the id sequence must introduce
         // identifiers 0, 1, 2, … in order.
         let mut introduced = 0u32;
-        for (pos, id) in ids.iter().enumerate() {
+        let mut direct_mapped_misses = 0u64;
+        let mut prev = None;
+        for (pos, &id) in ids.iter().enumerate() {
             let raw = id.raw();
             if raw as usize >= n {
                 return Err(format!(
@@ -155,6 +167,8 @@ impl StrippedTrace {
                 introduced += 1;
             }
             counts[raw as usize] += 1;
+            direct_mapped_misses += u64::from(prev != Some(id));
+            prev = Some(id);
         }
         if (introduced as usize) < n {
             return Err(format!(
@@ -178,6 +192,7 @@ impl StrippedTrace {
             ids,
             counts,
             address_bits,
+            direct_mapped_misses,
         })
     }
 
@@ -229,6 +244,12 @@ impl StrippedTrace {
     #[must_use]
     pub fn occurrences(&self, id: RefId) -> u32 {
         self.counts[id.index()]
+    }
+
+    /// Misses of a depth-1 direct-mapped cache, cold ones included: the
+    /// positions whose identifier differs from the one before.
+    pub(crate) fn direct_mapped_misses(&self) -> u64 {
+        self.direct_mapped_misses
     }
 
     /// Number of address bits needed by the unique references (at least 1).

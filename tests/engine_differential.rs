@@ -9,10 +9,14 @@
 //! 1. every bundled kernel (both captured sides) at small parameters, and
 //! 2. a seeded SplitMix64 sweep of synthetic traces covering degenerate
 //!    shapes (single address, all-distinct, heavy reuse, power-of-two strides).
+//!
+//! It also pins the engine `Engine::Auto` picks on each full-size kernel
+//! trace: the pick is recorded in store entries and in `explore --format
+//! json`, so it may change only with DESIGN.md §16's table.
 
 use std::sync::OnceLock;
 
-use cachedse::core::{dfs, postlude};
+use cachedse::core::{dfs, postlude, DesignSpaceExplorer, Engine as EngineChoice};
 use cachedse::sim::onepass::DepthProfile;
 use cachedse::trace::strip::StrippedTrace;
 use cachedse::trace::{Address, Record, Trace};
@@ -210,4 +214,33 @@ fn degenerate_traces_agree() {
         .map(|t| Record::read(Address::new((t % 16) << 8)))
         .collect();
     assert_engines_agree("pow2-stride", &strided);
+}
+
+/// DESIGN.md §16's table: at `K = 27` the fold runs on all 12 instruction
+/// traces and on engine.data and pocsag.data, depth-first on the other 10
+/// data traces. A faster engine must not move a pick without a new
+/// calibration recorded there.
+#[test]
+fn auto_picks_the_recorded_engine_on_every_kernel() {
+    let folded_data = ["engine", "pocsag"];
+    let mut picks = Vec::new();
+    let mut expected = Vec::new();
+    for kernel in cachedse::workloads::all() {
+        let run = kernel.capture();
+        for (side, trace) in [("data", &run.data), ("instr", &run.instr)] {
+            let label = format!("{}.{side}", run.name);
+            let exploration = DesignSpaceExplorer::new(trace)
+                .prepare()
+                .expect("kernel traces are non-empty");
+            picks.push((label.clone(), exploration.engine()));
+            let fold = side == "instr" || folded_data.contains(&run.name);
+            let engine = if fold {
+                EngineChoice::Streamed
+            } else {
+                EngineChoice::DepthFirst
+            };
+            expected.push((label, engine));
+        }
+    }
+    assert_eq!(picks, expected);
 }
