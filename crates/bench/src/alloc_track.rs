@@ -1,15 +1,14 @@
-//! Peak-allocation accounting for `perf_report` (BENCH schema v4).
+//! Peak-allocation accounting for `perf_report`.
 //!
 //! With the `alloc-track` feature, [`CountingAlloc`] wraps the system
 //! allocator and keeps two atomic counters: bytes currently live and the
 //! high-water mark since the last [`mark`]. `perf_report` installs it as
-//! the `#[global_allocator]`, brackets each measured phase with
+//! the `#[global_allocator]`, brackets one run of each measured row with
 //! [`mark`]/[`peak_since`], and records the *delta* peak — how far above
-//! the phase's starting residency the heap climbed — as
-//! `peak_alloc_bytes`. The delta form matters because the workspace pools
-//! dropped arenas (`Mrct`/`Bcat` recycling): pooled buffers stay live
-//! between phases, and charging them to whichever phase runs next would
-//! make the numbers order-dependent.
+//! the row's starting residency the heap climbed — as `peak_alloc_bytes`.
+//! The delta form matters because the bench thread already holds the
+//! kernel's trace and its stripped form when a row starts: charging that
+//! residency to every row would bury each row's own peak under it.
 //!
 //! Without the feature every function is a no-op stub
 //! ([`enabled`] returns `false`) so the reporting code needs no `cfg`s.

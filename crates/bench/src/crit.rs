@@ -12,7 +12,8 @@
 //! roughly five milliseconds, then `sample_size` batches are timed and the
 //! *median* nanoseconds per iteration reported (the median is robust to
 //! scheduler noise, which is all the statistics the paper's Tables 7–8
-//! comparisons need).
+//! comparisons need). [`measure`] also returns the fastest and slowest
+//! sample, so a recorded median carries its spread.
 
 use std::fmt;
 use std::time::Instant;
@@ -114,7 +115,7 @@ impl BenchmarkGroup {
     pub fn finish(&mut self) {}
 
     fn report(&self, id: &str, bencher: &Bencher) {
-        let Some(median_ns) = bencher.median_ns else {
+        let Some(Timing { median_ns, .. }) = bencher.timing else {
             println!("{}/{id:<40} no measurement", self.name);
             return;
         };
@@ -130,63 +131,101 @@ impl BenchmarkGroup {
     }
 }
 
+/// Nanoseconds per iteration of one timed routine: its fastest, median and
+/// slowest sample.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Timing {
+    /// The fastest sample.
+    pub min_ns: f64,
+    /// The median sample.
+    pub median_ns: f64,
+    /// The slowest sample.
+    pub max_ns: f64,
+}
+
+impl Timing {
+    fn of(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(f64::total_cmp);
+        Self {
+            min_ns: samples[0],
+            median_ns: samples[samples.len() / 2],
+            max_ns: samples[samples.len() - 1],
+        }
+    }
+}
+
+/// The batch size of `routine`: doubles the batch until it runs long enough
+/// to time reliably, then scales it to the target batch duration.
+fn calibrate<O>(routine: &mut impl FnMut() -> O) -> u64 {
+    let mut batch: u64 = 1;
+    let per_iter_ns = loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            std::hint::black_box(routine());
+        }
+        let elapsed = start.elapsed().as_nanos();
+        if elapsed >= 100_000 || batch >= 1 << 20 {
+            break (elapsed / u128::from(batch)).max(1);
+        }
+        batch *= 2;
+    };
+    u64::try_from((BATCH_TARGET_NS / per_iter_ns).clamp(1, 1 << 24)).expect("clamped to u64 range")
+}
+
+/// Nanoseconds per iteration of one timed batch of `routine`.
+fn sample<O>(routine: &mut impl FnMut() -> O, batch: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..batch {
+        std::hint::black_box(routine());
+    }
+    start.elapsed().as_nanos() as f64 / batch as f64
+}
+
 /// Runs and times one benchmark routine.
 #[derive(Debug)]
 pub struct Bencher {
     sample_size: usize,
-    median_ns: Option<f64>,
+    timing: Option<Timing>,
 }
 
 impl Bencher {
     fn new(sample_size: usize) -> Self {
         Self {
             sample_size,
-            median_ns: None,
+            timing: None,
         }
     }
 
     /// Calibrates a batch size, then times `sample_size` batches of
-    /// `routine` and records the median time per iteration.
+    /// `routine` and records the spread of the time per iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        // Calibration: double the batch until it runs long enough to time
-        // reliably, then scale to the target batch duration.
-        let mut batch: u64 = 1;
-        let per_iter_ns = loop {
-            let start = Instant::now();
-            for _ in 0..batch {
-                std::hint::black_box(routine());
-            }
-            let elapsed = start.elapsed().as_nanos();
-            if elapsed >= 100_000 || batch >= 1 << 20 {
-                break (elapsed / u128::from(batch)).max(1);
-            }
-            batch *= 2;
-        };
-        let batch = u64::try_from((BATCH_TARGET_NS / per_iter_ns).clamp(1, 1 << 24))
-            .expect("clamped to u64 range");
-
-        let mut samples: Vec<f64> = (0..self.sample_size)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..batch {
-                    std::hint::black_box(routine());
-                }
-                start.elapsed().as_nanos() as f64 / batch as f64
-            })
+        let batch = calibrate(&mut routine);
+        let samples = (0..self.sample_size)
+            .map(|_| sample(&mut routine, batch))
             .collect();
-        samples.sort_by(f64::total_cmp);
-        self.median_ns = Some(samples[samples.len() / 2]);
+        self.timing = Some(Timing::of(samples));
     }
 }
 
-/// Times `routine` exactly like [`Bencher::iter`] (calibrated batches,
-/// median of `sample_size` samples) and returns the median nanoseconds per
-/// iteration — the programmatic entry point `perf_report` uses to emit
-/// machine-readable numbers instead of console lines.
-pub fn measure<O>(sample_size: usize, routine: impl FnMut() -> O) -> f64 {
-    let mut bencher = Bencher::new(sample_size.max(2));
-    bencher.iter(routine);
-    bencher.median_ns.expect("iter records a median")
+/// Times `routines` like [`Bencher::iter`] (calibrated batches,
+/// `sample_size` samples each), interleaved: each routine is calibrated
+/// alone, then every round times one batch of each in turn, so a host that
+/// speeds up or slows down during the run moves them all alike and their
+/// ratios stay comparable. Returns each routine's spread of nanoseconds
+/// per iteration, in order — the programmatic entry point `perf_report`
+/// uses to emit machine-readable numbers instead of console lines.
+pub fn measure<const N: usize>(
+    sample_size: usize,
+    routines: &mut [&mut dyn FnMut(); N],
+) -> [Timing; N] {
+    let batches = routines.each_mut().map(calibrate);
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+    for _ in 0..sample_size.max(2) {
+        for ((routine, &batch), row) in routines.iter_mut().zip(&batches).zip(&mut samples) {
+            row.push(sample(routine, batch));
+        }
+    }
+    samples.map(Timing::of)
 }
 
 fn format_ns(ns: f64) -> String {
@@ -251,9 +290,15 @@ mod tests {
     }
 
     #[test]
-    fn measure_returns_positive_medians() {
-        let ns = measure(2, || std::hint::black_box(3u64).wrapping_mul(7));
-        assert!(ns > 0.0);
+    fn measure_returns_an_ordered_positive_spread_per_routine() {
+        let (mut a, mut b) = (0u64, 0u64);
+        let mut count_a = || a += 1;
+        let mut count_b = || b += 2;
+        let timings = measure(3, &mut [&mut count_a, &mut count_b]);
+        for t in timings {
+            assert!(0.0 < t.min_ns && t.min_ns <= t.median_ns && t.median_ns <= t.max_ns);
+        }
+        assert!(a >= 3 && b >= 6, "{a} {b}");
     }
 
     #[test]

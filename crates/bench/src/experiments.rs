@@ -79,7 +79,8 @@ pub fn tables_7_30(traces: &[NamedTrace]) -> String {
 }
 
 /// Tables 31 and 32: wall-clock time of the analytical algorithm per trace
-/// (strip + prelude + postlude, depth-first engine, all four budgets).
+/// (strip, the engine `Engine::Auto` picks for the trace, all four
+/// budgets).
 #[must_use]
 pub fn tables_31_32(traces: &[NamedTrace]) -> String {
     let mut out = String::new();

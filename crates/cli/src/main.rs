@@ -13,7 +13,7 @@ use std::process::ExitCode;
 
 use cachedse_core::{verify, DesignSpaceExplorer, Engine, MissBudget};
 use cachedse_json::Value;
-use cachedse_serve::PatternSpec;
+use cachedse_serve::{frontier_json, PatternSpec};
 use cachedse_sim::{simulate, CacheConfig, Replacement, WritePolicy};
 use cachedse_trace::stats::TraceStats;
 use cachedse_trace::{io::read_din, io::write_din, Trace};
@@ -290,20 +290,10 @@ fn format_is_json(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
 
 /// Renders an exploration result, and the engine that computed it, as one
 /// JSON object (the `--format json` output of `explore`; the batch
-/// service's result lines embed the same frontier shape).
+/// service's result lines render their frontier with the same
+/// [`frontier_json`]).
 fn explore_json(result: &cachedse_core::ExplorationResult, engine: Engine) -> Value {
     let stats = result.stats();
-    let frontier = Value::array(result.pairs().iter().map(|p| {
-        Value::object([
-            ("depth", Value::from(p.depth)),
-            ("assoc", Value::from(p.associativity)),
-            ("lines", Value::from(p.size_lines())),
-            (
-                "misses",
-                Value::from(result.misses_of(p.depth).unwrap_or(0)),
-            ),
-        ])
-    }));
     let smallest = result.smallest().map_or(Value::Null, |best| {
         Value::object([
             ("depth", Value::from(best.depth)),
@@ -322,7 +312,7 @@ fn explore_json(result: &cachedse_core::ExplorationResult, engine: Engine) -> Va
         ),
         ("engine", Value::from(engine.to_string())),
         ("budget", Value::from(result.budget())),
-        ("frontier", frontier),
+        ("frontier", frontier_json(result)),
         ("smallest", smallest),
     ])
 }

@@ -376,6 +376,44 @@ fn explore_format_json_emits_the_frontier() {
     }));
 }
 
+/// `explore --format json` and a batch reply render the frontier through
+/// one function, so for the same trace and budget the bytes agree.
+#[test]
+fn explore_and_batch_render_the_same_frontier_bytes() {
+    let path = std::env::temp_dir().join(format!("cachedse-frontier-{}.din", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    let gen = cachedse(&[
+        "gen",
+        "--pattern",
+        "phases",
+        "--len",
+        "4000",
+        "--seed",
+        "7",
+        "--out",
+        path_str,
+    ]);
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    let explore = cachedse(&["explore", path_str, "--fraction", "0.1", "--format", "json"]);
+    let spec = format!(
+        "{{\"id\":\"f\",\"trace\":{{\"file\":{}}},\"budget\":{{\"fraction\":0.1}}}}\n",
+        Value::from(path_str).render()
+    );
+    let batch = cachedse_within_a_minute(&["batch", "-"], &spec);
+    let _ = std::fs::remove_file(&path);
+    assert!(explore.status.success(), "{}", stderr(&explore));
+    assert!(batch.status.success(), "{}", stderr(&batch));
+    let frontier_bytes = |out: &Output| {
+        let text = stdout(out);
+        let start = text.find("\"frontier\":[").expect("a frontier array");
+        let end = start + text[start..].find(']').expect("the array closes") + 1;
+        text[start..end].to_owned()
+    };
+    let from_explore = frontier_bytes(&explore);
+    assert!(from_explore.contains("\"depth\":1,"), "{from_explore}");
+    assert_eq!(from_explore, frontier_bytes(&batch));
+}
+
 #[test]
 fn check_format_json_reports_clean_and_faulty_runs() {
     let path = std::env::temp_dir().join(format!("cachedse-chk-{}.din", std::process::id()));

@@ -40,13 +40,8 @@
 //! against `O(2^bits · N'/64)` bitset words for the intersecting builder
 //! (kept verbatim as [`Bcat::build_naive`], the differential oracle).
 //!
-//! Dropping a tree parks its three buffers in a thread-local pool the next
-//! build reuses (the recycling pattern of `core::mrct`), so steady-state
-//! rebuilds are allocation-free. Node sets are served as
-//! [`SliceSet`](cachedse_bitset::SliceSet) views into the arena: free to
+//! Node sets are served as [`SliceSet`] views into the arena: free to
 //! create, ascending, and binary-searchable.
-
-use std::cell::RefCell;
 
 use cachedse_bitset::{DenseBitSet, SliceSet};
 use cachedse_trace::strip::StrippedTrace;
@@ -56,29 +51,6 @@ use crate::zero_one::ZeroOneSets;
 
 /// "No child" sentinel in the node table; any real node index is smaller.
 const NO_CHILD: u32 = u32::MAX;
-
-/// The three recyclable buffers of a dropped tree: `(arena, nodes,
-/// level_nodes)`, in the same order as the [`Bcat`] fields.
-type PooledTree = (Vec<u32>, Vec<RawNode>, Vec<u32>);
-
-thread_local! {
-    /// Storage of the most recently dropped tree on this thread, kept for
-    /// the next build — the same steady-state recycling as the MRCT's
-    /// arena pool (DESIGN.md §12): the explorer loop, the batch service's
-    /// workers, and the benchmarks all rebuild trees at a cadence where
-    /// first-touch page faults on a fresh arena would out-cost the radix
-    /// passes themselves.
-    static TREE_POOL: RefCell<Option<PooledTree>> = const { RefCell::new(None) };
-}
-
-/// Takes the pooled tree buffers, or three fresh vectors.
-fn pooled_tree() -> PooledTree {
-    TREE_POOL
-        .try_with(|pool| pool.borrow_mut().take())
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
 
 /// Handle to a node of a [`Bcat`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -190,30 +162,6 @@ pub struct Bcat {
     unique_len: usize,
 }
 
-impl Drop for Bcat {
-    /// Returns the tree's buffers to the thread-local pool so the next
-    /// build on this thread skips the arena's first-touch page faults. The
-    /// pool keeps whichever arena is larger; `try_with` makes teardown-time
-    /// drops (thread-local storage already destroyed) a plain deallocation.
-    fn drop(&mut self) {
-        let arena = std::mem::take(&mut self.arena);
-        let nodes = std::mem::take(&mut self.nodes);
-        if arena.capacity() == 0 && nodes.capacity() == 0 {
-            return;
-        }
-        let level_nodes = std::mem::take(&mut self.level_nodes);
-        let _ = TREE_POOL.try_with(|pool| {
-            let slot = &mut *pool.borrow_mut();
-            let replace = slot
-                .as_ref()
-                .is_none_or(|(pooled, _, _)| pooled.capacity() < arena.capacity());
-            if replace {
-                *slot = Some((arena, nodes, level_nodes));
-            }
-        });
-    }
-}
-
 impl Bcat {
     /// Builds the tree, splitting by index bits `B_0 … B_{max_index_bits−1}`
     /// (or fewer if the addresses have fewer significant bits).
@@ -246,22 +194,17 @@ impl Bcat {
     fn build_from_addrs(addrs: &[u32], address_bits: u32, max_index_bits: u32) -> Self {
         let bits = address_bits.min(max_index_bits);
         let n = addrs.len();
-        let (mut arena, mut nodes, mut level_nodes) = pooled_tree();
-        arena.clear();
-        nodes.clear();
-        level_nodes.clear();
-
         // Level 0: the identity permutation — all references in one row.
-        arena.extend(0..n as u32);
-        nodes.push(RawNode {
+        let mut arena: Vec<u32> = (0..n as u32).collect();
+        let mut nodes = vec![RawNode {
             offset: 0,
             len: n as u32,
             level: 0,
             row: 0,
             left: NO_CHILD,
             right: NO_CHILD,
-        });
-        level_nodes.extend([0, 1]);
+        }];
+        let mut level_nodes: Vec<u32> = vec![0, 1];
 
         for l in 0..bits {
             let parents = level_nodes[l as usize] as usize..level_nodes[l as usize + 1] as usize;
@@ -697,17 +640,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Dropping a tree parks its arena; the next build on the thread reuses
-    /// it and still produces a correct (equal) tree.
-    #[test]
-    fn pooled_rebuild_is_identical() {
-        let trace = paper_running_example();
-        let (_, first) = bcat_of(&trace, 4);
-        let reference = first.clone();
-        drop(first); // parks the arena in the thread-local pool
-        let (_, second) = bcat_of(&trace, 4); // rebuilt from the pooled buffers
-        assert_eq!(second, reference);
     }
 }

@@ -23,11 +23,7 @@
 //! buffer, a set-boundary offset array, and a per-reference set-range
 //! offset array. Three allocations per table regardless of how many
 //! conflict sets it holds, and the postlude's `|S ∩ C|` sweeps walk one
-//! contiguous buffer instead of chasing per-set `Box` pointers. Dropping a
-//! table parks its buffers in a thread-local pool the next build reuses, so
-//! steady-state rebuilds are allocation-free and skip the arena's
-//! first-touch page faults — on conflict-heavy traces those faults cost
-//! more than both construction passes combined.
+//! contiguous buffer instead of chasing per-set `Box` pointers.
 //!
 //! Conflict sets are stored in **recency order**: members appear by their
 //! last access inside the reuse window, oldest first — exactly the order
@@ -37,7 +33,6 @@
 //! construction on conflict-heavy traces. Recency order is canonical: both
 //! builders produce it, and `cachedse-check` recomputes it independently.
 
-use std::cell::RefCell;
 use std::ops::Index;
 
 use cachedse_sim::fenwick::Fenwick;
@@ -46,42 +41,6 @@ use cachedse_trace::strip::{RefId, StrippedTrace};
 /// "Not on the recency list" marker for `live_pos`, and the tombstone value
 /// for dead recency-array slots. Any real identifier is `< N' < u32::MAX`.
 const ABSENT: u32 = u32::MAX;
-
-/// The three recyclable buffers of a dropped table: `(ids, set_bounds,
-/// ref_sets)`, in the same order as the [`Mrct`] fields.
-type PooledArena = (Vec<u32>, Vec<u32>, Vec<u32>);
-
-thread_local! {
-    /// Arena storage of the most recently dropped table on this thread,
-    /// kept for the next build. Conflict-heavy traces make the identifier
-    /// arena hundreds of megabytes, which lands in freshly mapped pages
-    /// whose first-touch faults can cost more than writing the table
-    /// itself; recycling the previous table's buffers makes steady-state
-    /// rebuilds (the explorer loop, the batch service's workers, the
-    /// benchmarks) allocation-free, in the same spirit as the depth-first
-    /// engine's scratch arenas (DESIGN.md §10).
-    static ARENA_POOL: RefCell<Option<PooledArena>> = const { RefCell::new(None) };
-}
-
-/// Takes the pooled arena buffers, or three fresh vectors.
-fn pooled_buffers() -> PooledArena {
-    ARENA_POOL
-        .try_with(|pool| pool.borrow_mut().take())
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-/// Resizes a recycled buffer to exactly `len` entries, all zero-free to
-/// overwrite: shrinking just truncates, growing zero-fills only the region
-/// beyond the buffer's previous length.
-fn recycle(buf: &mut Vec<u32>, len: usize) {
-    if len <= buf.len() {
-        buf.truncate(len);
-    } else {
-        buf.resize(len, 0);
-    }
-}
 
 /// The conflict table: per unique reference, the conflict sets of its
 /// non-first occurrences in trace order, stored in one flat CSR arena.
@@ -112,30 +71,6 @@ pub struct Mrct {
     set_bounds: Vec<u32>,
     /// Reference `r` owns global sets `ref_sets[r] .. ref_sets[r + 1]`.
     ref_sets: Vec<u32>,
-}
-
-impl Drop for Mrct {
-    /// Returns the table's buffers to the thread-local pool so the next
-    /// build on this thread skips the arena's first-touch page faults. The
-    /// pool keeps whichever arena is larger; `try_with` makes teardown-time
-    /// drops (thread-local storage already destroyed) a plain deallocation.
-    fn drop(&mut self) {
-        let ids = std::mem::take(&mut self.ids);
-        if ids.capacity() == 0 {
-            return;
-        }
-        let set_bounds = std::mem::take(&mut self.set_bounds);
-        let ref_sets = std::mem::take(&mut self.ref_sets);
-        let _ = ARENA_POOL.try_with(|pool| {
-            let slot = &mut *pool.borrow_mut();
-            let replace = slot
-                .as_ref()
-                .is_none_or(|(pooled, _, _)| pooled.capacity() < ids.capacity());
-            if replace {
-                *slot = Some((ids, set_bounds, ref_sets));
-            }
-        });
-    }
 }
 
 /// A borrowed view of one reference's conflict sets: contiguous ranges of
@@ -258,15 +193,9 @@ impl Mrct {
             "id space leaves room for the tombstone marker"
         );
 
-        // Recycle the previously dropped table's storage: on the traces
-        // that matter the identifier arena is the size of the output
-        // (hundreds of megabytes), and faulting it in fresh costs more than
-        // every pass below combined.
-        let (mut ids, mut set_bounds, mut ref_sets) = pooled_buffers();
         // Global set-slot ranges: reference `r` owns one slot per non-first
         // occurrence, so the ranges are prefix sums of `occurrences − 1`.
-        ref_sets.clear();
-        ref_sets.reserve(n_unique + 1);
+        let mut ref_sets: Vec<u32> = Vec::with_capacity(n_unique + 1);
         ref_sets.push(0);
         let mut total_sets: u32 = 0;
         for r in 0..n_unique {
@@ -276,12 +205,7 @@ impl Mrct {
         let total_sets = total_sets as usize;
 
         // Pass one: per-slot set sizes via Fenwick stack-distance counting.
-        // Every entry of `set_bounds` past index 0 is written by the loop
-        // (one slot per recurrence), so recycled contents never leak through.
-        recycle(&mut set_bounds, total_sets + 1);
-        if let Some(first) = set_bounds.first_mut() {
-            *first = 0;
-        }
+        let mut set_bounds: Vec<u32> = vec![0; total_sets + 1];
         let mut next_slot: Vec<u32> = ref_sets[..n_unique].to_vec();
         let mut fenwick = Fenwick::new(sequence.len());
         let mut last: Vec<u32> = vec![ABSENT; n_unique];
@@ -312,9 +236,8 @@ impl Mrct {
         // `live_pos[r]` is the index of r's live entry; `dead` is the
         // ascending index of tombstoned positions, kept tiny by compaction.
         // The span copies below tile `ids[0..total_elements]` exactly (the
-        // per-slot debug assertion pins each set to its reserved range), so
-        // a recycled arena needs no zeroing.
-        recycle(&mut ids, total_elements);
+        // per-slot debug assertion pins each set to its reserved range).
+        let mut ids: Vec<u32> = vec![0; total_elements];
         let mut seq: Vec<u32> = Vec::with_capacity(n_unique.min(sequence.len()) + 1);
         let mut live_pos: Vec<u32> = vec![ABSENT; n_unique];
         let mut dead: Vec<u32> = Vec::new();

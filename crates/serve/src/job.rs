@@ -567,17 +567,6 @@ impl JobOutput {
     #[must_use]
     pub fn to_json(&self) -> Value {
         let stats = self.result.stats();
-        let frontier = Value::array(self.result.pairs().iter().map(|p| {
-            Value::object([
-                ("depth", Value::from(p.depth)),
-                ("assoc", Value::from(p.associativity)),
-                ("lines", Value::from(p.size_lines())),
-                (
-                    "misses",
-                    Value::from(self.result.misses_of(p.depth).unwrap_or(0)),
-                ),
-            ])
-        }));
         Value::object([
             ("id", Value::from(self.id.as_str())),
             ("ok", Value::from(true)),
@@ -592,13 +581,31 @@ impl JobOutput {
                     ("digest", Value::from(self.digest.to_string())),
                 ]),
             ),
-            ("frontier", frontier),
+            ("frontier", frontier_json(&self.result)),
             (
                 "micros",
                 Value::object([("total", Value::from(self.total_micros))]),
             ),
         ])
     }
+}
+
+/// The `frontier` array of a result: per (depth, associativity) pair, its
+/// size in lines and its miss count. `cachedse explore --format json`
+/// renders the same array.
+#[must_use]
+pub fn frontier_json(result: &ExplorationResult) -> Value {
+    Value::array(result.pairs().iter().map(|p| {
+        Value::object([
+            ("depth", Value::from(p.depth)),
+            ("assoc", Value::from(p.associativity)),
+            ("lines", Value::from(p.size_lines())),
+            (
+                "misses",
+                Value::from(result.misses_of(p.depth).unwrap_or(0)),
+            ),
+        ])
+    }))
 }
 
 /// Why a job failed, as a machine-readable kind.

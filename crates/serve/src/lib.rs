@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cache;
 pub mod job;
 mod line;
 pub mod metrics;
@@ -63,10 +62,10 @@ pub mod net;
 pub mod service;
 
 pub use batch::{run_batch, BatchSummary};
-pub use cache::{ArtifactCache, ArtifactKey, Found, TraceArtifacts};
+pub use cachedse_store::{ArtifactCache, ArtifactKey, Found, TraceArtifacts};
 pub use job::{
-    outcome_json, JobError, JobOutcome, JobOutput, JobSpec, PatternSpec, SpecError, TraceSide,
-    TraceSource,
+    frontier_json, outcome_json, JobError, JobOutcome, JobOutput, JobSpec, PatternSpec, SpecError,
+    TraceSide, TraceSource,
 };
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, Stage, StatsSnapshot};
 pub use net::serve;

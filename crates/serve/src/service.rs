@@ -28,14 +28,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cachedse_core::dfs;
-use cachedse_store::ArtifactStore;
+use cachedse_store::{ArtifactCache, ArtifactKey, ArtifactStore, Found, TraceArtifacts};
 use cachedse_sync::atomic::{AtomicBool, Ordering};
 use cachedse_sync::thread::{self, JoinHandle};
 use cachedse_sync::{Condvar, Mutex};
 use cachedse_trace::io::read_din;
 use cachedse_trace::Trace;
 
-use crate::cache::{ArtifactCache, ArtifactKey, Found, TraceArtifacts};
 use crate::job::{JobError, JobOutcome, JobOutput, JobSpec, TraceSide, TraceSource};
 use crate::metrics::{Metrics, Stage, StatsSnapshot};
 

@@ -1,8 +1,8 @@
 //! The content-addressed artifact bundle and its key.
 //!
 //! Moved here from `cachedse-serve` so both the serve tier and the
-//! persistence tiers speak the same types; `cachedse_serve::cache`
-//! re-exports them unchanged. The stripped trace and the per-depth miss
+//! persistence tiers speak the same types; `cachedse-serve` re-exports
+//! them unchanged. The stripped trace and the per-depth miss
 //! profiles depend only on the trace content and the index-bit cap, so
 //! one [`TraceArtifacts`] answers every budget query against its trace.
 //! The BCAT and MRCT are intermediates on the way to the profiles: no
