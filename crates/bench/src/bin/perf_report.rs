@@ -10,7 +10,7 @@
 //! - `tree_table`: the paper's Algorithms 1–3 as the reference,
 //!   `postlude::materialized_profiles` (BCAT, MRCT and the postlude);
 //! - `end_to_end`: the default path from an in-memory trace — strip, the
-//!   engine `Engine::Auto` picks, one frontier walk.
+//!   fold or the hybrid `Engine::Auto` picks, one frontier walk.
 //!
 //! ```text
 //! perf_report [--quick] [--samples N] [--out FILE] [--gate]
@@ -44,7 +44,12 @@
 //!   does a capture of another schema;
 //! - **engine choice:** a kernel's `end_to_end − strip` exceeds
 //!   [`CHOICE_FACTOR`]× the faster of `streamed` and `depth_first` plus
-//!   [`CHOICE_SLACK_NS`].
+//!   [`CHOICE_SLACK_NS`];
+//! - **suite** (full reports only): summed over every kernel,
+//!   `end_to_end − strip` is not below the faster of `streamed` and
+//!   `depth_first`. The hybrid beats either engine alone on the data
+//!   traces, so a default path that falls back to one engine per trace
+//!   fails.
 
 use std::hint::black_box;
 use std::num::NonZeroUsize;
@@ -172,6 +177,9 @@ fn main() -> ExitCode {
     if let Some(committed) = committed {
         let (compared, mut failures) = gate_drift(&report, &committed);
         failures.extend(gate_engine_choice(&report));
+        if !quick {
+            failures.extend(gate_suite(&report));
+        }
         if !failures.is_empty() {
             eprintln!("perf_report: gate failed:");
             for f in failures {
@@ -181,7 +189,12 @@ fn main() -> ExitCode {
         }
         eprintln!(
             "perf_report: {compared} row(s) within {DRIFT_FACTOR}x of the committed capture; \
-             default path within {CHOICE_FACTOR}x of the faster engine"
+             default path within {CHOICE_FACTOR}x of the faster engine{}",
+            if quick {
+                ""
+            } else {
+                "; suite below the faster engines' sum"
+            }
         );
     }
     ExitCode::SUCCESS
@@ -259,6 +272,14 @@ fn gate_drift(fresh: &Value, committed: &Value) -> (usize, Vec<String>) {
     (compared, failures)
 }
 
+/// A kernel's default path minus its strip, and the faster of its two
+/// pinned engines, from the row medians.
+fn default_and_faster(kernel: &Value) -> Option<(f64, f64)> {
+    let median = |row: &str| kernel.get(row)?.get("median_ns")?.as_f64();
+    let default = median("end_to_end")? - median("strip")?;
+    Some((default, median("streamed")?.min(median("depth_first")?)))
+}
+
 /// The engine-choice rule: `end_to_end` times the default path, so minus
 /// the strip it is the engine `Engine::Auto` picked (plus its reuse pass
 /// and one frontier walk). Returns one failure line per kernel where that
@@ -267,26 +288,36 @@ fn gate_drift(fresh: &Value, committed: &Value) -> (usize, Vec<String>) {
 fn gate_engine_choice(report: &Value) -> Vec<String> {
     let mut failures = Vec::new();
     for (label, kernel) in labeled_kernels(report) {
-        let median = |row: &str| kernel.get(row)?.get("median_ns")?.as_f64();
-        let (Some(end_to_end), Some(strip), Some(streamed), Some(depth_first)) = (
-            median("end_to_end"),
-            median("strip"),
-            median("streamed"),
-            median("depth_first"),
-        ) else {
+        let Some((default, faster)) = default_and_faster(kernel) else {
             continue;
         };
-        let faster = streamed.min(depth_first);
-        if end_to_end - strip > CHOICE_FACTOR * faster + CHOICE_SLACK_NS {
+        if default > CHOICE_FACTOR * faster + CHOICE_SLACK_NS {
             failures.push(format!(
-                "{label}: default path {:.0} ns beyond its strip exceeds {CHOICE_FACTOR}x the \
-                 faster engine ({faster:.0} ns) + {CHOICE_SLACK_NS:.0} ns: the engine choice \
-                 picked the slower one",
-                end_to_end - strip
+                "{label}: default path {default:.0} ns beyond its strip exceeds {CHOICE_FACTOR}x \
+                 the faster engine ({faster:.0} ns) + {CHOICE_SLACK_NS:.0} ns: the engine choice \
+                 picked the slower one"
             ));
         }
     }
     failures
+}
+
+/// The suite rule: summed over every kernel of a full report, the default
+/// path beyond its strip must come in below the faster pinned engine per
+/// kernel. Returns the one failure line, or none.
+fn gate_suite(report: &Value) -> Option<String> {
+    let (default, faster) = labeled_kernels(report)
+        .filter_map(|(_, kernel)| default_and_faster(kernel))
+        .fold((0.0, 0.0), |(d, f), (default, faster)| {
+            (d + default, f + faster)
+        });
+    (default >= faster).then(|| {
+        format!(
+            "suite: default path {default:.0} ns beyond its strips is not below the faster \
+             engine per kernel, {faster:.0} ns in sum ({:.3}x)",
+            default / faster
+        )
+    })
 }
 
 fn run_report(quick: bool, samples: usize) -> Value {
@@ -612,6 +643,40 @@ mod tests {
         assert!(validate_report(&lying.render()).is_err());
     }
 
+    /// A kernel whose rows have medians `strip`, `streamed`, `depth_first`
+    /// and `end_to_end`, in that order.
+    fn kernel_with(label: &str, [strip, streamed, depth_first, end_to_end]: [f64; 4]) -> Value {
+        let timing = |ns: f64| Timing {
+            min_ns: ns,
+            median_ns: ns,
+            max_ns: ns,
+        };
+        let mut fields = vec![
+            ("label", Value::from(label)),
+            ("refs", Value::from(10u64)),
+            ("unique", Value::from(4u64)),
+            ("address_bits", Value::from(8u32)),
+        ];
+        let medians = [strip, streamed, depth_first, 1e9, end_to_end];
+        fields.extend(
+            ROWS.into_iter()
+                .zip(medians.map(|ns| row_json(timing(ns), None))),
+        );
+        Value::object(fields)
+    }
+
+    #[test]
+    fn the_suite_rule_sums_the_default_path_against_the_faster_engines() {
+        // 0.5 + 2.0 beyond the strips against 1.0 + 2.0: a slower kernel
+        // is fine while the sum stays below.
+        let fast = kernel_with("a.data", [1.0, 1.0, 4.0, 1.5]);
+        let slow = kernel_with("b.instr", [1.0, 3.0, 2.0, 3.0]);
+        assert_eq!(gate_suite(&report(vec![fast.clone(), slow.clone()])), None);
+        let slower = kernel_with("b.instr", [1.0, 3.0, 2.0, 3.5]);
+        let failure = gate_suite(&report(vec![fast, slower])).unwrap();
+        assert!(failure.contains("(1.000x)"), "{failure}");
+    }
+
     #[test]
     fn the_engine_choice_rule_reads_the_row_medians() {
         assert!(gate_engine_choice(&report(vec![kernel("a.data", 1e6, None)])).is_empty());
@@ -646,5 +711,6 @@ mod tests {
         );
         let failures = gate_engine_choice(&report);
         assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(gate_suite(&report), None);
     }
 }

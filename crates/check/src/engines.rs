@@ -8,7 +8,9 @@
 //! candidate and the reference disagree, as a structured violation
 //! instead of a silently wrong frontier. [`check_pipeline`] runs it on
 //! the streamed fold under [`Invariant::ProfileDivergence`];
-//! [`check_engines`] runs `Engine::DepthFirst` through the public
+//! [`check_engines`] runs pinned `Engine::DepthFirst` and the default,
+//! `Engine::Auto` (what `explore` and `serve` run: the fold, or the
+//! hybrid of depth-first and the fold), through the public
 //! [`prepare_stripped`] entry point under [`Invariant::EngineDivergence`].
 //!
 //! [`check_pipeline`]: crate::check_pipeline
@@ -55,8 +57,10 @@ pub(crate) fn diff_profiles(
         .collect()
 }
 
-/// Recomputes the per-level profiles with the depth-first engine and
-/// returns one violation per level that disagrees with `reference` — the
+/// Recomputes the per-level profiles with the pinned depth-first engine
+/// (label `depth-first`) and with the default path (label `default`), and
+/// returns one violation per engine and level that disagrees with
+/// `reference` — the
 /// [`postlude::materialized_profiles`](cachedse_core::postlude::materialized_profiles)
 /// of `stripped` at `max_index_bits`.
 #[must_use]
@@ -65,20 +69,27 @@ pub fn check_engines(
     max_index_bits: u32,
     reference: &[DepthProfile],
 ) -> Vec<Violation> {
-    let label = "depth-first";
-    match prepare_stripped(stripped, Some(max_index_bits), Engine::DepthFirst, None) {
-        Ok(exploration) => diff_profiles(
-            Invariant::EngineDivergence,
-            label,
-            exploration.profiles(),
-            reference,
-        ),
-        Err(e) => vec![Violation::new(
-            Invariant::EngineDivergence,
-            Location::Global,
-            format!("{label}: refused an input the reference analyzed: {e}"),
-        )],
-    }
+    [
+        (Engine::DepthFirst, "depth-first"),
+        (Engine::Auto, "default"),
+    ]
+    .into_iter()
+    .flat_map(|(engine, label)| {
+        match prepare_stripped(stripped, Some(max_index_bits), engine, None) {
+            Ok(exploration) => diff_profiles(
+                Invariant::EngineDivergence,
+                label,
+                exploration.profiles(),
+                reference,
+            ),
+            Err(e) => vec![Violation::new(
+                Invariant::EngineDivergence,
+                Location::Global,
+                format!("{label}: refused an input the reference analyzed: {e}"),
+            )],
+        }
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -98,10 +109,33 @@ mod tests {
         assert!(engines_agree(&paper_running_example()));
     }
 
+    /// The second trace's reuse spans are long: `Auto` sweeps its root
+    /// depth-first and folds further down.
     #[test]
     fn workload_engines_agree() {
-        let trace = generate::loop_with_excursions(7, 64, 31, 5, 1 << 11, 4);
-        assert!(engines_agree(&trace));
+        for trace in [
+            generate::loop_with_excursions(7, 64, 31, 5, 1 << 11, 4),
+            generate::uniform_random(6_000, 1_500, 3),
+        ] {
+            assert!(engines_agree(&trace));
+        }
+    }
+
+    /// Both the pinned engine and the default path are diffed, each under
+    /// its own label.
+    #[test]
+    fn a_wrong_reference_is_reported_for_both_engines() {
+        let s = StrippedTrace::from_trace(&paper_running_example());
+        let bits = s.address_bits();
+        let mut reference = postlude::materialized_profiles(&s, bits);
+        reference[1] = reference[0].clone();
+        let violations = check_engines(&s, bits, &reference);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        for (violation, label) in violations.iter().zip(["depth-first:", "default:"]) {
+            assert_eq!(violation.invariant, Invariant::EngineDivergence);
+            assert_eq!(violation.location, Location::Level(1));
+            assert!(violation.detail.starts_with(label), "{violation:?}");
+        }
     }
 
     fn diff_against_reference(candidate: &[DepthProfile], s: &StrippedTrace) -> Vec<Violation> {

@@ -55,10 +55,10 @@ pub enum Invariant {
     /// A looser miss budget demanded more ways than a tighter one at the
     /// same depth.
     FrontierNonMonotoneBudget,
-    /// The depth-first engine produced a per-level profile different
-    /// from the materialized reference
-    /// (`postlude::materialized_profiles`); the engines are
-    /// interchangeable only because they are byte-identical.
+    /// The pinned depth-first engine, or the default path `explore` and
+    /// `serve` run, produced a per-level profile different from the
+    /// materialized reference (`postlude::materialized_profiles`); the
+    /// engines are interchangeable only because they are byte-identical.
     EngineDivergence,
     /// The streamed MRCT→postlude fusion produced a per-level profile
     /// different from the materialized `Mrct::build` + postlude path; the

@@ -47,15 +47,32 @@
 //! single sweep per node: one read of the subtrace feeds the Fenwick
 //! conflict-depth histogram *and* writes both children.
 //!
+//! ## The hybrid: the fold below the top of the tree
+//!
+//! A sweep pays about `len` per node per level, whatever the conflicts;
+//! the streamed fold ([`crate::streamed`]) pays the LRU stack distance
+//! instead, and a node's stack distances collapse once its members share
+//! their low `l` address bits. So the default engine
+//! ([`Engine::Auto`](crate::Engine::Auto), on traces it does not fold
+//! whole) sweeps depth-first at the top of the BCAT and hands a node to
+//! the fold once the fold is the cheaper way down: one pass over the
+//! node's subtrace then covers every level from the node's to
+//! `max_index_bits`. The parent's sweep already computes each
+//! recurrence's exact conflict depth `d`, and a child's own depths are at
+//! most its parent's, so the sum `Σd` over the recurrences that land in
+//! the child bounds the child's whole fold. [`level_profiles`] stays the
+//! pure depth-first engine.
+//!
 //! Output is identical to the materialized reference
 //! ([`crate::postlude::materialized_profiles`]); the test suite asserts
 //! equality.
 
 use cachedse_sim::fenwick::Fenwick;
 use cachedse_sim::onepass::DepthProfile;
-use cachedse_trace::strip::StrippedTrace;
+use cachedse_trace::strip::{RefId, StrippedTrace};
 
 use crate::postlude::{address_table, finalize};
+use crate::streamed::NodeFold;
 
 /// Nodes with at most this many distinct references answer conflict-depth
 /// queries from a sorted array of live positions instead of the Fenwick
@@ -65,16 +82,26 @@ use crate::postlude::{address_table, finalize};
 /// e.g. an instruction fetch stream, misses cache on nearly every step).
 const SMALL_SET_MAX: usize = 1_024;
 
+/// The hybrid folds a node when its fold, `Σd + len` steps, is cheaper
+/// than this many times the sweeps it replaces, `len · r` steps over the
+/// `r` levels left: `r` is the smaller of the levels down to
+/// `max_index_bits` and the bit length of the node's unique count, since
+/// the traversal runs out of shared rows about that deep. Probed at 2,
+/// 4, 8 and 16, the 12 data traces' summed engine time stayed within
+/// 0.75–0.81× of the root-only choice (DESIGN.md §16, "Engine choice"),
+/// so the gain does not hang on the exact value.
+const FOLD_STEPS_PER_SWEEP_STEP: u64 = 8;
+
 /// Reusable scratch state for the depth-first traversal.
 ///
 /// Created once per engine run and reused across every node, so the
 /// steady-state inner loop performs zero heap allocation.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Scratch {
     /// `levels[l]` holds the subtrace data of the node(s) currently being
     /// traversed at level `l`; children are partitioned into
     /// `levels[l + 1]`.
-    levels: Vec<Vec<u32>>,
+    levels: Vec<Vec<RefId>>,
     /// `seen_epoch[id] == epoch` ⇔ `id` was already touched by the current
     /// node's sweep.
     seen_epoch: Vec<u32>,
@@ -83,7 +110,7 @@ struct Scratch {
     last_pos: Vec<u32>,
     /// Distinct ids touched by the current sweep, recorded for the
     /// `O(touched)` Fenwick undo.
-    touched: Vec<u32>,
+    touched: Vec<RefId>,
     /// Sorted final-occurrence positions of the current sweep's distinct
     /// references — the small-set alternative to the Fenwick tree, used
     /// when the node holds at most [`SMALL_SET_MAX`] uniques.
@@ -94,6 +121,9 @@ struct Scratch {
     /// Grown lazily: traces whose every node fits the small-set path never
     /// allocate it.
     fenwick: Fenwick,
+    /// The hybrid's switch and the fold scratch every node below it
+    /// shares; `None` for the pure depth-first engine.
+    fold: Option<(Switch, NodeFold)>,
 }
 
 impl Scratch {
@@ -107,6 +137,7 @@ impl Scratch {
             live: Vec::with_capacity(ref_count.min(SMALL_SET_MAX)),
             epoch: 0,
             fenwick: Fenwick::new(0),
+            fold: None,
         }
     }
 
@@ -145,6 +176,11 @@ struct SweepOutcome {
     left_unique: usize,
     /// Distinct references in the right child.
     right_unique: usize,
+    /// Sum of the conflict depths of the recurrences landing in the left
+    /// child, at this node's level: a bound on the child's whole fold.
+    left_span: u64,
+    /// The same sum for the right child.
+    right_span: u64,
     /// The left child can still produce nonzero conflict depths.
     visit_left: bool,
     /// The right child can still produce nonzero conflict depths.
@@ -154,7 +190,7 @@ struct SweepOutcome {
 /// One fused pass over the node occupying `levels[level][start..start +
 /// len]`: feeds the conflict-depth histogram for this level and (when
 /// `PARTITION`) splits the subtrace on index bit `level` into
-/// `levels[level + 1]`.
+/// `levels[level + 1]`, summing each side's conflict depths.
 ///
 /// A child needs visiting only if it can produce a nonzero conflict depth:
 /// some reference recurs in it AND it holds at least two distinct
@@ -193,12 +229,12 @@ fn sweep<const PARTITION: bool>(
         *fenwick = Fenwick::new(len);
     }
 
-    let mut empty: [u32; 0] = [];
-    let (src, dst): (&[u32], &mut [u32]) = if PARTITION {
+    let mut empty: [RefId; 0] = [];
+    let (src, dst): (&[RefId], &mut [RefId]) = if PARTITION {
         let (head, tail) = levels.split_at_mut(level as usize + 1);
         let dst = &mut tail[0];
         if dst.len() < len {
-            dst.resize(len, 0);
+            dst.resize(len, RefId::default());
         }
         (&head[level as usize][start..start + len], &mut dst[..len])
     } else {
@@ -212,13 +248,16 @@ fn sweep<const PARTITION: bool>(
     let mut right_reuse = false;
     let mut left_unique = 0usize;
     let mut right_unique = 0usize;
+    let mut left_span = 0u64;
+    let mut right_span = 0u64;
 
     for (t, &id) in src.iter().enumerate() {
-        let idx = id as usize;
+        let idx = id.index();
         let repeated = seen_epoch[idx] == epoch;
+        let mut d = 0;
         if repeated {
             let prev = last_pos[idx];
-            let d = if small {
+            d = if small {
                 // `live` holds one sorted position per distinct reference
                 // seen so far (its most recent occurrence), all `< t`, so
                 // the conflict depth is the count of entries after `prev` —
@@ -260,11 +299,13 @@ fn sweep<const PARTITION: bool>(
                 left_len += 1;
                 left_reuse |= repeated;
                 left_unique += usize::from(!repeated);
+                left_span += d as u64;
             } else {
                 right_write -= 1;
                 dst[right_write] = id;
                 right_reuse |= repeated;
                 right_unique += usize::from(!repeated);
+                right_span += d as u64;
             }
         }
     }
@@ -277,7 +318,7 @@ fn sweep<const PARTITION: bool>(
         live.clear();
     } else {
         for &id in touched.iter() {
-            fenwick.add(last_pos[id as usize] as usize, -1);
+            fenwick.add(last_pos[id.index()] as usize, -1);
         }
         debug_assert_eq!(
             fenwick.prefix_sum(len),
@@ -298,6 +339,8 @@ fn sweep<const PARTITION: bool>(
         right_len: len - left_len,
         left_unique,
         right_unique,
+        left_span,
+        right_span,
         visit_left: left_reuse && left_unique >= 2,
         visit_right: right_reuse && right_unique >= 2,
     }
@@ -316,15 +359,48 @@ struct Node {
     len: usize,
     /// Exact distinct-reference count of the window.
     unique: usize,
+    /// Sum of the window's conflict depths at the parent's level (0 at
+    /// the root).
+    span: u64,
+}
+
+/// Where the hybrid hands nodes to the fold.
+#[derive(Clone, Copy, Debug)]
+enum Switch {
+    /// Below the root, wherever the fold is the cheaper way down (see
+    /// [`FOLD_STEPS_PER_SWEEP_STEP`]).
+    Rule,
+    /// Every visited node at this level, whatever it costs.
+    #[cfg(test)]
+    At(u32),
+}
+
+impl Switch {
+    /// Whether the hybrid folds `node` instead of sweeping it.
+    fn folds(self, node: &Node, max_index_bits: u32) -> bool {
+        match self {
+            Self::Rule => {
+                let len = node.len as u64;
+                let levels = max_index_bits - node.level + 1;
+                let bits = usize::BITS - node.unique.leading_zeros();
+                let sweeps = len * u64::from(levels.min(bits));
+                node.level > 0 && node.span + len < FOLD_STEPS_PER_SWEEP_STEP * sweeps
+            }
+            #[cfg(test)]
+            Self::At(level) => node.level == level,
+        }
+    }
 }
 
 /// Processes `node`: one fused sweep (histogram + partition), then
-/// depth-first recursion into the surviving children.
+/// depth-first recursion into the surviving children — or, where the
+/// hybrid's switch says so, one fold of the node's subtrace covering every
+/// level from its own down.
 fn visit(
     scratch: &mut Scratch,
     node: Node,
     max_index_bits: u32,
-    addrs: &[u32],
+    addrs: &mut [u32],
     histograms: &mut [Vec<u64>],
 ) {
     let Node {
@@ -332,7 +408,21 @@ fn visit(
         start,
         len,
         unique,
+        ..
     } = node;
+    if let Some((switch, fold)) = &mut scratch.fold {
+        if switch.folds(&node, max_index_bits) {
+            fold.fold(
+                &scratch.levels[level as usize][start..start + len],
+                addrs,
+                level,
+                histograms,
+            );
+            #[cfg(test)]
+            assert!(fold.is_clean(), "a folded node left the fold scratch dirty");
+            return;
+        }
+    }
     if level == max_index_bits {
         let _ = sweep::<false>(
             scratch,
@@ -362,6 +452,7 @@ fn visit(
                 start: 0,
                 len: outcome.left_len,
                 unique: outcome.left_unique,
+                span: outcome.left_span,
             },
             max_index_bits,
             addrs,
@@ -376,6 +467,7 @@ fn visit(
                 start: outcome.left_len,
                 len: outcome.right_len,
                 unique: outcome.right_unique,
+                span: outcome.right_span,
             },
             max_index_bits,
             addrs,
@@ -405,35 +497,65 @@ fn visit(
 /// ```
 #[must_use]
 pub fn level_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<DepthProfile> {
+    profiles(stripped, max_index_bits, None)
+}
+
+/// The hybrid: [`level_profiles`]' traversal, handing each node below the
+/// root to the streamed fold where that is the cheaper way down (see the
+/// module docs). The profiles are the same.
+///
+/// # Panics
+///
+/// As [`level_profiles`].
+pub(crate) fn hybrid_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<DepthProfile> {
+    profiles(stripped, max_index_bits, Some(Switch::Rule))
+}
+
+/// One engine run: the hybrid where `switch` is given, pure depth-first
+/// otherwise.
+fn profiles(
+    stripped: &StrippedTrace,
+    max_index_bits: u32,
+    switch: Option<Switch>,
+) -> Vec<DepthProfile> {
     let total = stripped.total_len();
     assert!(
         total < u32::MAX as usize,
         "trace too long for u32 sweep positions"
     );
+    let unique = stripped.unique_len();
+    let mut scratch = Scratch::new(unique);
+    scratch.fold = switch.map(|switch| (switch, NodeFold::new(unique, max_index_bits)));
+    traverse(&mut scratch, stripped, max_index_bits)
+}
 
+/// One traversal of `stripped` from its root, over `scratch`.
+fn traverse(
+    scratch: &mut Scratch,
+    stripped: &StrippedTrace,
+    max_index_bits: u32,
+) -> Vec<DepthProfile> {
     let mut histograms: Vec<Vec<u64>> = vec![Vec::new(); max_index_bits as usize + 1];
-    let addrs = address_table(stripped);
-
-    let mut scratch = Scratch::new(addrs.len());
+    // One address per reference, plus the fold's tombstone slot at `N'`.
+    let mut addrs = address_table(stripped);
+    addrs.push(0);
     scratch.ensure(max_index_bits);
-    {
-        let root = &mut scratch.levels[0];
-        root.clear();
-        root.extend(stripped.id_sequence().iter().map(|id| id.raw()));
-    }
+    let root = &mut scratch.levels[0];
+    root.clear();
+    root.extend_from_slice(stripped.id_sequence());
     visit(
-        &mut scratch,
+        scratch,
         Node {
             level: 0,
             start: 0,
-            len: total,
+            len: stripped.total_len(),
             unique: stripped.unique_len(),
+            span: 0,
         },
         max_index_bits,
-        &addrs,
+        &mut addrs,
         &mut histograms,
     );
-
     finalize(histograms, stripped)
 }
 
@@ -531,6 +653,75 @@ mod tests {
         }
     }
 
+    /// Forces the switch at every level `s ∈ 0..=bits` (`s = 0` folds the
+    /// whole trace, `s = bits` only the deepest rows) and runs the
+    /// hybrid's own rule; every run must equal the materialized
+    /// reference. `visit` asserts after each folded node that the fold
+    /// scratch is clean again: buckets zero, every recency slot absent.
+    fn assert_every_switch_level(trace: &Trace, bits: u32) {
+        let stripped = StrippedTrace::from_trace(trace);
+        let reference = postlude::materialized_profiles(&stripped, bits);
+        for s in 0..=bits {
+            let got = profiles(&stripped, bits, Some(Switch::At(s)));
+            assert_eq!(got, reference, "switch at level {s} of {bits}");
+        }
+        assert_eq!(hybrid_profiles(&stripped, bits), reference, "rule");
+    }
+
+    #[test]
+    fn every_switch_level_matches_materialized_on_workloads() {
+        for trace in [
+            paper_running_example(),
+            generate::loop_pattern(0x80, 40, 25),
+            generate::strided(16, 32, 48, 5),
+            generate::uniform_random(1_500, 200, 23),
+            generate::working_set_phases(5, 200, 30, 41),
+            generate::loop_with_excursions(0, 48, 30, 11, 1 << 10, 5),
+            // Over `SMALL_SET_MAX` uniques: the sweeps above the switch
+            // take the Fenwick path.
+            generate::uniform_random(4_000, 1_500, 11),
+        ] {
+            let width = trace.address_bits();
+            for bits in [width, width.min(9), width.saturating_sub(3)] {
+                assert_every_switch_level(&trace, bits);
+            }
+        }
+    }
+
+    #[test]
+    fn every_switch_level_matches_materialized_on_random_traces() {
+        let mut rng = SplitMix64::seed_from_u64(0x4b1d);
+        for _ in 0..48 {
+            let len = rng.gen_range(1usize..300);
+            let space = rng.gen_range(1u32..200);
+            let trace: Trace = (0..len)
+                .map(|_| Record::read(Address::new(rng.gen_range(0..space))))
+                .collect();
+            assert_every_switch_level(&trace, rng.gen_range(0u32..10));
+        }
+    }
+
+    /// The rule: never at the root, and below it the fold wins exactly
+    /// when `Σd + len < 8 · len · min(levels left, bit length of unique)`.
+    #[test]
+    fn the_rule_compares_the_fold_bound_with_the_sweeps_left() {
+        let node = |level, len, unique, span| Node {
+            level,
+            start: 0,
+            len,
+            unique,
+            span,
+        };
+        let folds = |n: Node| Switch::Rule.folds(&n, 10);
+        assert!(!folds(node(0, 100, 4, 0)), "the root is Auto's pick");
+        // 4 uniques have bit length 3: the sweeps cost 100 · 3 · 8.
+        assert!(folds(node(5, 100, 4, 2_299)));
+        assert!(!folds(node(5, 100, 4, 2_300)));
+        // At level 10 one level is left: 100 · 1 · 8.
+        assert!(folds(node(10, 100, 1 << 12, 699)));
+        assert!(!folds(node(10, 100, 1 << 12, 700)));
+    }
+
     /// A scratch arena whose epoch counter is about to wrap must keep
     /// producing correct results through the wrap: the one-time stamp clear
     /// makes stale stamps from the previous generation cycle impossible.
@@ -539,39 +730,18 @@ mod tests {
         let trace = generate::working_set_phases(3, 400, 24, 5);
         let stripped = StrippedTrace::from_trace(&trace);
         let bits = stripped.address_bits();
-        let addrs = address_table(&stripped);
-        let total = stripped.total_len();
         let expected = level_profiles(&stripped, bits);
 
         // Place the counter a handful of sweeps before the wrap, and
         // poison the stamp arrays with values a naive reset would confuse
         // with post-wrap epochs.
-        let mut scratch = Scratch::new(addrs.len());
+        let mut scratch = Scratch::new(stripped.unique_len());
         scratch.epoch = u32::MAX - 4;
         scratch.seen_epoch.fill(2);
         scratch.last_pos.fill(7);
-        scratch.ensure(bits);
 
         for round in 0..3 {
-            let mut histograms: Vec<Vec<u64>> = vec![Vec::new(); bits as usize + 1];
-            {
-                let root = &mut scratch.levels[0];
-                root.clear();
-                root.extend(stripped.id_sequence().iter().map(|id| id.raw()));
-            }
-            visit(
-                &mut scratch,
-                Node {
-                    level: 0,
-                    start: 0,
-                    len: total,
-                    unique: stripped.unique_len(),
-                },
-                bits,
-                &addrs,
-                &mut histograms,
-            );
-            let got = finalize(histograms, &stripped);
+            let got = traverse(&mut scratch, &stripped, bits);
             assert_eq!(got, expected, "round {round}");
         }
         // The full trace has far more than 5 nodes, so the wrap happened.

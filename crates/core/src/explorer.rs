@@ -38,10 +38,12 @@ pub enum MissBudget {
 /// whole analyses in parallel across their worker pool instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// Runs [`Engine::Streamed`] or [`Engine::DepthFirst`], whichever one
-    /// O(N) pass over the trace's reuse spans predicts is faster
+    /// Runs the streamed fold from the root, or the hybrid — depth-first
+    /// at the top of the BCAT, the fold below a per-node switch — whichever
+    /// one O(N) pass over the trace's reuse spans predicts is faster
     /// (DESIGN.md §16, "Engine choice"). An [`Exploration`] records the
-    /// engine that ran, never `Auto`.
+    /// engine that swept the root, [`Engine::Streamed`] or
+    /// [`Engine::DepthFirst`], never `Auto`.
     #[default]
     Auto,
     /// The streamed MRCT→postlude fusion (DESIGN.md §16): the tombstone
@@ -50,7 +52,8 @@ pub enum Engine {
     /// produced — `O(unique refs)` memory, no arena, no sizing pass.
     Streamed,
     /// The Section 2.4 combined algorithm: depth-first subtrace partitioning,
-    /// linear space, no materialized BCAT/MRCT.
+    /// linear space, no materialized BCAT/MRCT. Pinned, it sweeps every
+    /// level and never switches to the fold.
     DepthFirst,
 }
 
@@ -64,23 +67,26 @@ impl fmt::Display for Engine {
     }
 }
 
-/// [`Engine::Auto`] runs the streamed fold when the reuse span `S = Σ (t −
-/// p)` over every recurrence at `t` of a reference last seen at `p` is at
-/// most this many times `N · max_index_bits`, and depth-first otherwise.
-/// `S` bounds the fold's work (the total LRU stack distance); depth-first
-/// pays about `N` per level. On the 24 kernel traces `S / (N · bits)` is
-/// 0.5–14.4 wherever the fold is faster and 51–604 wherever depth-first
-/// is (DESIGN.md §16, "Engine choice"); 27 is near the gap's geometric
+/// [`Engine::Auto`] runs the streamed fold from the root when the reuse
+/// span `S = Σ (t − p)` over every recurrence at `t` of a reference last
+/// seen at `p` is at most this many times `N · max_index_bits`, and the
+/// hybrid otherwise: depth-first at the root, the fold wherever `dfs`'s
+/// per-node rule finds it cheaper further down. `S` bounds the fold's
+/// work (the total LRU stack distance); depth-first pays about `N` per
+/// level. On the 24 kernel traces `S / (N · bits)` is 0.5–14.4 wherever
+/// the fold from the root is fastest and 51–604 wherever the hybrid is
+/// (DESIGN.md §16, "Engine choice"); 27 is near the gap's geometric
 /// middle.
 const FOLD_SPAN_PER_REF_LEVEL: u64 = 27;
 
-/// Resolves [`Engine::Auto`] for one trace: one pass over the id sequence
-/// with a last-position array of `N'` entries.
-fn auto_engine(stripped: &StrippedTrace, max_bits: u32) -> Engine {
+/// Resolves [`Engine::Auto`] for one trace, `true` when the streamed fold
+/// runs from the root: one pass over the id sequence with a last-position
+/// array of `N'` entries.
+fn auto_folds_root(stripped: &StrippedTrace, max_bits: u32) -> bool {
     let ids = stripped.id_sequence();
     // Depth-first sweeps `u32` positions; only the fold takes longer traces.
     let Some(n) = u32::try_from(ids.len()).ok().filter(|&n| n < u32::MAX) else {
-        return Engine::Streamed;
+        return true;
     };
     let mut last_pos = vec![0u32; stripped.unique_len()];
     let mut span = 0u64;
@@ -91,12 +97,7 @@ fn auto_engine(stripped: &StrippedTrace, max_bits: u32) -> Engine {
             span += u64::from(t - p);
         }
     }
-    let budget = FOLD_SPAN_PER_REF_LEVEL * u64::from(n) * u64::from(max_bits);
-    if span <= budget {
-        Engine::Streamed
-    } else {
-        Engine::DepthFirst
-    }
+    span <= FOLD_SPAN_PER_REF_LEVEL * u64::from(n) * u64::from(max_bits)
 }
 
 /// Entry point: explores the `(depth, associativity)` design space of a
@@ -217,14 +218,18 @@ pub fn prepare_stripped(
     if max_bits > 31 {
         return Err(ExploreError::IndexBitsTooLarge(max_bits));
     }
-    let engine = match engine {
-        Engine::Auto => auto_engine(stripped, max_bits),
-        pinned => pinned,
-    };
-    // `engine` is resolved, so the catch-all arm is depth-first.
-    let profiles = match engine {
-        Engine::Streamed => streamed::level_profiles(stripped, max_bits),
-        _ => dfs::level_profiles(stripped, max_bits),
+    // A trace `Auto` does not fold from the root runs the hybrid:
+    // depth-first at the top of the tree, the fold below its switch. The
+    // exploration records the engine that swept the root.
+    let (engine, profiles) = match engine {
+        Engine::Auto if !auto_folds_root(stripped, max_bits) => {
+            (Engine::DepthFirst, dfs::hybrid_profiles(stripped, max_bits))
+        }
+        Engine::Auto | Engine::Streamed => (
+            Engine::Streamed,
+            streamed::level_profiles(stripped, max_bits),
+        ),
+        Engine::DepthFirst => (engine, dfs::level_profiles(stripped, max_bits)),
     };
     Ok(Exploration {
         profiles,

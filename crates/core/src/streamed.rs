@@ -51,6 +51,10 @@
 //! tombstone behind the suffixes it folds). So compaction moves at most
 //! the tombstones skipped plus the memory bound's moves, about two per
 //! recurrence: `O(1)` amortized against the fold's own work.
+//!
+//! The depth-first engine's hybrid (`dfs`) folds single BCAT nodes through
+//! the same `fold_chunk`, from the node's level down, with one
+//! `NodeFold` scratch per run.
 
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::{RefId, StrippedTrace};
@@ -93,9 +97,10 @@ struct Recency {
 
 impl Recency {
     /// An empty replay state over `n_unique` references. `seq` is reserved
-    /// for its largest length: the compaction rule keeps it at most
-    /// `2·live + 9` entries, and it never exceeds one entry per reference
-    /// of the sequence, so it never reallocates mid-fold.
+    /// for its largest length over a sequence of `sequence_len`: the
+    /// compaction rule keeps it at most `2·live + 9` entries, and it never
+    /// exceeds one entry per reference of the sequence, so folding that
+    /// sequence never reallocates it.
     fn new(n_unique: usize, sequence_len: usize) -> Self {
         Self {
             seq: Vec::with_capacity((2 * n_unique + 9).min(sequence_len)),
@@ -129,6 +134,79 @@ impl Recency {
         self.dead = 0;
         self.waste = 0;
     }
+
+    /// Empties the replay through its live entries, `O(seq)` rather than
+    /// `O(N')`, so one replay can fold many subtraces in turn.
+    fn reset(&mut self) {
+        for &x in &self.seq {
+            if x != self.tomb {
+                self.live_pos[x as usize] = ABSENT;
+            }
+        }
+        self.seq.clear();
+        self.live = 0;
+        self.dead = 0;
+        self.waste = 0;
+    }
+}
+
+/// The fold of one BCAT node's subtrace at a time, below the switch of
+/// the depth-first engine's hybrid (`dfs`): one replay and one bucket
+/// array, made once per run, serve every folded node, and each fold
+/// leaves them as it found them.
+#[derive(Debug)]
+pub(crate) struct NodeFold {
+    replay: Recency,
+    bucket: Vec<u64>,
+}
+
+impl NodeFold {
+    /// The scratch for folding subtraces of a trace over `n_unique`
+    /// unique references, at index budgets up to `max_level`. `seq`
+    /// starts empty and grows to the largest folded node's `2u + 9`
+    /// entries, far below the whole trace's bound.
+    pub(crate) fn new(n_unique: usize, max_level: u32) -> Self {
+        Self {
+            replay: Recency::new(n_unique, 0),
+            bucket: vec![0; max_level as usize + 2],
+        }
+    }
+
+    /// Folds `ids`, the subtrace of one node at `level`, into levels
+    /// `level..=max_level` of `hist`, then resets the replay. Every member
+    /// shares the node's low `level` address bits, so the fold starts its
+    /// level walk there. `addrs` is the fold's address table, with the
+    /// tombstone slot at `N'`.
+    pub(crate) fn fold(
+        &mut self,
+        ids: &[RefId],
+        addrs: &mut [u32],
+        level: u32,
+        hist: &mut [Vec<u64>],
+    ) {
+        let max_level = self.bucket.len() - 2;
+        fold_chunk(
+            &mut self.replay,
+            ids,
+            addrs,
+            level as usize,
+            max_level,
+            hist,
+            &mut self.bucket,
+        );
+        self.replay.reset();
+    }
+
+    /// Whether the scratch is as `new` made it: every bucket zero, every
+    /// recency slot absent, the replay empty.
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
+        let r = &self.replay;
+        self.bucket.iter().all(|&b| b == 0)
+            && r.live_pos.iter().all(|&p| p == ABSENT)
+            && r.seq.is_empty()
+            && (r.live, r.dead, r.waste) == (0, 0, 0)
+    }
 }
 
 /// Computes the exact miss profile of every depth `1, 2, …, 2^max_index_bits`
@@ -155,6 +233,7 @@ pub fn level_profiles(stripped: &StrippedTrace, max_index_bits: u32) -> Vec<Dept
         &mut replay,
         sequence,
         &mut addrs,
+        0,
         max_index_bits as usize,
         &mut hist,
         &mut bucket,
@@ -179,7 +258,9 @@ fn fold_tables(
 /// Folds one contiguous run of the trace into `hist`, advancing `replay`
 /// through it. `hist[l][d]` counts the conflict sets with exactly `d`
 /// same-row members at level `l` (only `d > 0` is recorded, mirroring the
-/// materialized postlude); `bucket[b]` holds, for the set currently being
+/// materialized postlude), for `l` from `start_level`: the whole trace
+/// starts at 0, and a BCAT node's subtrace at its own level, where all its
+/// references share a row. `bucket[b]` holds, for the set currently being
 /// folded, the members whose shared-row depth — clamped to `max_level` —
 /// is exactly `b`, and `bucket[max_level + 1]` the tombstones its scan
 /// stepped over. The scan empties the sink and the level walk drains the
@@ -189,6 +270,7 @@ fn fold_chunk(
     replay: &mut Recency,
     chunk: &[RefId],
     addrs: &mut [u32],
+    start_level: usize,
     max_level: usize,
     hist: &mut [Vec<u64>],
     bucket: &mut [u64],
@@ -223,13 +305,14 @@ fn fold_chunk(
             let skipped = std::mem::take(&mut bucket[sink]);
             replay.waste += skipped as usize;
             // Suffix-sum walk: at level l the set contributes `d_l` =
-            // #{members with shared depth ≥ l}; `d_0 = |C|` and each step
-            // retires bucket[l]. Every member's clamped depth is ≤
-            // max_level, so `d` hits zero no later than one past it — and
-            // `d == 0` means every remaining bucket is already zero, which
-            // is what lets `take` leave the array clean for the next set.
+            // #{members with shared depth ≥ l}; every member shares the
+            // start level's row, so `d_start = |C|`, and each step retires
+            // bucket[l]. Every member's clamped depth is ≤ max_level, so
+            // `d` hits zero no later than one past it — and `d == 0` means
+            // every remaining bucket is already zero, which is what lets
+            // `take` leave the array clean for the next set.
             let mut d = suffix.len() as u64 - skipped;
-            let mut l = 0;
+            let mut l = start_level;
             while d > 0 {
                 let du = d as usize;
                 let h = &mut hist[l];
@@ -342,6 +425,7 @@ mod tests {
                 &mut replay,
                 step,
                 &mut addrs,
+                0,
                 max_bits as usize,
                 &mut hist,
                 &mut bucket,

@@ -6,8 +6,9 @@
 //! result line per input line **in input order**, regardless of the order
 //! workers finish in. Malformed spec lines, and lines past the 64 KiB line
 //! cap, do not abort the batch — they yield a structured `bad-spec` error
-//! line in their slot. A final `stats: …` summary goes to the provided
-//! status sink (the CLI points it at stderr so stdout stays pure JSONL).
+//! line in their slot, and count as `bad_requests` in the stats. A final
+//! `stats: …` summary goes to the provided status sink (the CLI points it
+//! at stderr so stdout stays pure JSONL).
 
 use std::io::{BufRead, Write};
 
@@ -84,6 +85,7 @@ pub fn run_batch(
                 }
             }
             Err(detail) => {
+                service.count_bad_request();
                 Slot::Immediate(format!("line-{}", index + 1), JobError::BadSpec(detail))
             }
         };
@@ -177,6 +179,7 @@ mod tests {
         assert_eq!(summary.jobs, 5);
         assert_eq!(summary.succeeded, 2);
         assert_eq!(summary.failed, 3);
+        assert_eq!(summary.stats.bad_requests, 3);
         assert!(!summary.all_ok());
         assert_eq!(values[0].get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(values[4].get("ok").and_then(Value::as_bool), Some(true));

@@ -131,6 +131,10 @@ pub struct Metrics {
     ///
     /// [`Found::Warm`]: cachedse_store::Found::Warm
     pub store_warm: AtomicU64,
+    /// Request lines answered `bad-spec` before reaching the queue:
+    /// over-long or non-UTF-8 lines, bad JSON, unknown ops and invalid
+    /// job specs.
+    pub bad_requests: AtomicU64,
     load_hist: Histogram,
     analyze_hist: Histogram,
     frontier_hist: Histogram,
@@ -166,6 +170,7 @@ impl Metrics {
             store_evictions: 0,
             store_bytes: 0,
             store_errors: 0,
+            bad_requests: self.bad_requests.load(Ordering::Relaxed),
             load: self.load_hist.snapshot(),
             analyze: self.analyze_hist.snapshot(),
             frontier: self.frontier_hist.snapshot(),
@@ -208,6 +213,8 @@ pub struct StatsSnapshot {
     /// entries (rebuilt), failed saves and failed evicts, each also logged
     /// to stderr naming its entry (filled like `store_misses`).
     pub store_errors: u64,
+    /// Request lines refused as `bad-spec` before reaching the queue.
+    pub bad_requests: u64,
     /// Trace load/generate stage latencies.
     pub load: HistogramSnapshot,
     /// Artifact-build stage latencies (cache misses only).
@@ -236,6 +243,7 @@ impl StatsSnapshot {
             ("store_evictions", Value::from(self.store_evictions)),
             ("store_bytes", Value::from(self.store_bytes)),
             ("store_errors", Value::from(self.store_errors)),
+            ("bad_requests", Value::from(self.bad_requests)),
             (
                 "stage_histograms_us",
                 Value::object([
@@ -332,6 +340,7 @@ mod tests {
         let json = snap.to_json();
         assert_eq!(json.get("completed").and_then(Value::as_u64), Some(19));
         assert_eq!(json.get("store_errors").and_then(Value::as_u64), Some(0));
+        assert_eq!(json.get("bad_requests").and_then(Value::as_u64), Some(0));
         assert!(json
             .get("stage_histograms_us")
             .and_then(|h| h.get("frontier"))

@@ -13,10 +13,11 @@
 //! Every request produces exactly one response line, **in request order**
 //! per connection, `"ok"` discriminating results from structured errors. A
 //! malformed line — not JSON, not a job spec, an unknown op, or longer
-//! than the 64 KiB line cap — is answered with a `bad-spec` error and the
-//! connection stays usable. Connections are handled on scoped threads
-//! that poll a shared stop flag with a short read timeout, so a
-//! `shutdown` on one connection unwedges all of them.
+//! than the 64 KiB line cap — is answered with a `bad-spec` error, counted
+//! as `bad_requests` in the stats, and the connection stays usable.
+//! Connections are handled on scoped threads that poll a shared stop flag
+//! with a short read timeout, so a `shutdown` on one connection unwedges
+//! all of them.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind, Write};
@@ -99,7 +100,7 @@ fn handle_connection(
                     pending.push_back(handle_request(request, service, stop));
                 }
             }
-            Some(Ok(Line::Refused(detail))) => pending.push_back(bad_request(detail)),
+            Some(Ok(Line::Refused(detail))) => pending.push_back(bad_request(service, detail)),
             Some(Err(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 // The reader keeps any partial line; just poll.
                 if stop.load(Ordering::Acquire) {
@@ -144,14 +145,16 @@ fn flush_ready(
     Ok(())
 }
 
-fn bad_request(detail: String) -> Reply {
+/// A `bad-spec` reply for a refused request line, counted in `stats`.
+fn bad_request(service: &Service, detail: String) -> Reply {
+    service.count_bad_request();
     Reply::Text(JobError::BadSpec(detail).to_json("request").render())
 }
 
 fn handle_request(request: &str, service: &Service, stop: &AtomicBool) -> Reply {
     let value = match Value::parse(request) {
         Ok(value) => value,
-        Err(e) => return bad_request(format!("bad JSON: {e}")),
+        Err(e) => return bad_request(service, format!("bad JSON: {e}")),
     };
     if let Some(op) = value.get("op").and_then(Value::as_str) {
         return match op {
@@ -169,7 +172,10 @@ fn handle_request(request: &str, service: &Service, stop: &AtomicBool) -> Reply 
                         .render(),
                 )
             }
-            other => bad_request(format!("unknown op {other:?}; expected stats|shutdown")),
+            other => bad_request(
+                service,
+                format!("unknown op {other:?}; expected stats|shutdown"),
+            ),
         };
     }
     match JobSpec::from_value(&value) {
@@ -180,6 +186,6 @@ fn handle_request(request: &str, service: &Service, stop: &AtomicBool) -> Reply 
                 Err(e) => Reply::Text(e.to_json(&label).render()),
             }
         }
-        Err(e) => bad_request(e.to_string()),
+        Err(e) => bad_request(service, e.to_string()),
     }
 }

@@ -269,6 +269,15 @@ impl Service {
         }
     }
 
+    /// Counts one request line refused as `bad-spec` before it reached
+    /// the queue.
+    pub(crate) fn count_bad_request(&self) {
+        self.inner
+            .metrics
+            .bad_requests
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A point-in-time metrics snapshot, with the artifact cache's
     /// store-tier counters merged in.
     #[must_use]

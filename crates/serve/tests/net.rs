@@ -188,6 +188,40 @@ fn server_survives_malformed_requests_timeouts_and_saturation() {
     assert_eq!(final_stats.failed, 1); // the deadline job
 }
 
+/// Each kind of refused line counts once in `bad_requests`: one past the
+/// line cap, one that is not JSON, an unknown op and an invalid spec.
+#[test]
+fn stats_count_each_refused_request_line() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = cachedse_sync::thread::spawn(move || {
+        serve(listener, ServiceConfig::default()).expect("serve")
+    });
+    let mut client = Client::connect(addr);
+    for line in [
+        job_line(&"x".repeat(70_000), 7, 0, ""),
+        "not json".to_owned(),
+        r#"{"op":"dance"}"#.to_owned(),
+        r#"{"trace":{},"budget":{"misses":1}}"#.to_owned(),
+    ] {
+        client.send(&line);
+        assert_eq!(error_kind(&client.recv()), Some("bad-spec"));
+    }
+    client.send(r#"{"op":"stats"}"#);
+    let response = client.recv();
+    let stats = response.get("stats").expect("stats payload");
+    assert_eq!(stats.get("bad_requests").and_then(Value::as_u64), Some(4));
+    assert_eq!(stats.get("accepted").and_then(Value::as_u64), Some(0));
+
+    client.send(r#"{"op":"shutdown"}"#);
+    assert_eq!(
+        client.recv().get("op").and_then(Value::as_str),
+        Some("shutdown")
+    );
+    let final_stats = server.join().expect("server thread");
+    assert_eq!(final_stats.bad_requests, 4);
+}
+
 #[test]
 fn two_connections_share_one_cache_and_shutdown_unwedges_both() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -3,8 +3,10 @@
 //! return *exactly* the profiles of the materialized reference,
 //! `postlude::materialized_profiles` (`Bcat::from_stripped` →
 //! `Mrct::build` → Algorithm 3) — same depths, same histograms, byte for
-//! byte. The fusion is a pure evaluation-order change; any divergence is
-//! a bug, not drift.
+//! byte. So must the default path, `prepare_stripped` with `Engine::Auto`:
+//! the fold from the root, or the hybrid that sweeps the top of the tree
+//! depth-first and folds below its switch. Both are pure evaluation-order
+//! changes; any divergence is a bug, not drift.
 //!
 //! Coverage: all 24 paper kernel traces at full size (release-mode CI
 //! job; `#[ignore]`d here because the materialized reference takes
@@ -13,7 +15,7 @@
 //! edge cases (empty trace, single reference, everything on one row,
 //! index budget past the address width).
 
-use cachedse::core::{postlude, streamed};
+use cachedse::core::{postlude, prepare_stripped, streamed, Engine};
 use cachedse::trace::rng::SplitMix64;
 use cachedse::trace::strip::StrippedTrace;
 use cachedse::trace::{Address, Record, Trace};
@@ -26,10 +28,22 @@ fn assert_identical(trace: &Trace, max_bits: u32, what: &str) {
         fused, golden,
         "{what}: streamed diverged from materialized at max_bits {max_bits}"
     );
+    // The default path refuses only the empty trace.
+    if !stripped.is_empty() {
+        let default = prepare_stripped(&stripped, Some(max_bits), Engine::Auto, None)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(
+            default.profiles(),
+            &golden[..],
+            "{what}: the default path ({}) diverged from materialized at max_bits {max_bits}",
+            default.engine()
+        );
+    }
 }
 
 /// Every one of the paper's 24 benchmark traces (12 kernels × data+instr)
-/// at full published size, at the trace's own address width.
+/// at full published size, at the trace's own address width, through the
+/// fold and the default path.
 ///
 /// Ignored in the default (debug) test run: the materialized reference
 /// spends minutes on the big data traces without optimizations. The CI
