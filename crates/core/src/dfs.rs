@@ -10,8 +10,9 @@
 //! reference set but by its *subtrace* — the original access order filtered
 //! to the references mapping to that row. The per-occurrence conflict depth
 //! `|S ∩ C|` is then simply the number of distinct references touched within
-//! the subtrace since the previous occurrence, computed with a Fenwick tree
-//! in `O(m log m)` for a subtrace of length `m`.
+//! the subtrace since the previous occurrence, counted with a bit per
+//! position and a Fenwick tree over 64-position words, in `O(m log(m/64))`
+//! for a subtrace of length `m`.
 //!
 //! ## Memory layout: the hot path is allocation-free
 //!
@@ -31,20 +32,17 @@
 //!   `last_pos`) with a generation counter bumped once per node — no
 //!   clearing, no hashing. The counter survives wraparound: after 2^32
 //!   sweeps the stamp array is cleared once and the cycle restarts.
-//! * **One Fenwick tree for the whole traversal.** Each sweep leaves a `+1`
-//!   only at the final occurrence of each distinct reference, so the tree
-//!   is restored to all-zeroes in `O(unique · log m)` by undoing exactly
-//!   the touched positions — never reallocated, never rebuilt.
-//! * **Small-set fast path.** A node with at most [`SMALL_SET_MAX`]
-//!   distinct references (the count is known exactly from its parent's
-//!   sweep) skips the Fenwick entirely: the live final-occurrence
-//!   positions fit a sorted L1-resident array, where a conflict depth is
-//!   one binary search and the undo is `clear()`. Long traces over small
-//!   working sets — instruction streams above all — take this path at
-//!   every level.
+//! * **One live-position counter for every sweep.** Each sweep keeps a bit
+//!   set at the final occurrence so far of each distinct reference, one bit
+//!   per position of the node's subtrace, plus a Fenwick tree over the
+//!   popcounts of the 64-position words it has completed. A conflict depth
+//!   is one popcount in the previous occurrence's word, one in the current
+//!   word, and, when the two differ, one walk of a tree 64 times shorter
+//!   than the subtrace. The buffers grow once, to the root's length, and
+//!   the undo is two `fill(0)`s over `len / 64 + 1` entries.
 //!
 //! The accumulate and partition passes of the old engine are fused into a
-//! single sweep per node: one read of the subtrace feeds the Fenwick
+//! single sweep per node: one read of the subtrace feeds the
 //! conflict-depth histogram *and* writes both children.
 //!
 //! ## The hybrid: the fold below the top of the tree
@@ -67,30 +65,136 @@
 //! ([`crate::postlude::materialized_profiles`]); the test suite asserts
 //! equality.
 
-use cachedse_sim::fenwick::Fenwick;
 use cachedse_sim::onepass::DepthProfile;
 use cachedse_trace::strip::{RefId, StrippedTrace};
 
 use crate::postlude::{address_table, finalize};
 use crate::streamed::NodeFold;
 
-/// Nodes with at most this many distinct references answer conflict-depth
-/// queries from a sorted array of live positions instead of the Fenwick
-/// tree. The array is at most 4 KiB — resident in L1 — so a binary search
-/// plus a short `memmove` beats three logarithmic walks over a tree
-/// spanning the whole subtrace (which for a long trace with few uniques,
-/// e.g. an instruction fetch stream, misses cache on nearly every step).
-const SMALL_SET_MAX: usize = 1_024;
-
 /// The hybrid folds a node when its fold, `Σd + len` steps, is cheaper
 /// than this many times the sweeps it replaces, `len · r` steps over the
 /// `r` levels left: `r` is the smaller of the levels down to
 /// `max_index_bits` and the bit length of the node's unique count, since
 /// the traversal runs out of shared rows about that deep. Probed at 2,
-/// 4, 8 and 16, the 12 data traces' summed engine time stayed within
-/// 0.75–0.81× of the root-only choice (DESIGN.md §16, "Engine choice"),
-/// so the gain does not hang on the exact value.
+/// 4 and 8, the 12 data traces' summed engine time read 0.83–0.89× of
+/// the root-only choice, so the gain does not hang on the exact value;
+/// at 16 it read 1.03–1.04×, folding nodes a sweep finishes sooner
+/// (DESIGN.md §16, "Engine choice").
 const FOLD_STEPS_PER_SWEEP_STEP: u64 = 8;
+
+/// The live final-occurrence positions of one sweep: a bit per position of
+/// the node's subtrace, and a Fenwick tree over the popcounts of the
+/// 64-position words the sweep has completed.
+///
+/// A sweep calls [`recur`](Self::recur) at a position whose reference was
+/// seen before, then [`push`](Self::push) at every position, in order, and
+/// [`undo`](Self::undo) once at its end. One counter serves every node of a
+/// traversal.
+#[derive(Debug, Default)]
+struct LiveCounter {
+    /// Bit `t % 64` of `bits[t / 64]` is set ⇔ position `t` is the latest
+    /// occurrence so far of its reference.
+    bits: Vec<u64>,
+    /// A 1-based Fenwick tree over the completed words' popcounts:
+    /// `tree[w + 1]` covers word `w`. Entries `1..=words` serve the sweep.
+    tree: Vec<u32>,
+    /// The words of the current sweep: `len / 64 + 1`.
+    words: usize,
+    /// The popcounts of the completed words, summed.
+    flushed: u32,
+}
+
+impl LiveCounter {
+    /// Readies the counter for a sweep over `len` positions. The buffers
+    /// only ever grow, so they grow once, to the root's length.
+    fn begin(&mut self, len: usize) {
+        self.words = len / 64 + 1;
+        if self.bits.len() < self.words {
+            self.bits.resize(self.words, 0);
+            self.tree.resize(self.words + 1, 0);
+        }
+    }
+
+    /// Marks position `t` live. Positions arrive in order, so the last
+    /// position of a word completes it: its popcount enters the tree once.
+    #[inline]
+    fn push(&mut self, t: usize) {
+        let w = t / 64;
+        self.bits[w] |= 1 << (t % 64);
+        if t % 64 == 63 {
+            let count = self.bits[w].count_ones();
+            self.flushed += count;
+            self.add(w, count as i32);
+        }
+    }
+
+    /// The live positions strictly between `prev` and `t` (the conflict
+    /// depth of a recurrence at `t` of the reference last seen at `prev`),
+    /// clearing `prev`, which is no longer its reference's latest
+    /// occurrence. `prev` must be live and every position before `t`
+    /// pushed.
+    ///
+    /// Always inlined: left a call of its own, it made pinned depth-first
+    /// over the 24 kernel traces 1.07–1.17× slower.
+    #[inline(always)]
+    fn recur(&mut self, prev: usize, t: usize) -> usize {
+        let (w, at) = (prev / 64, prev % 64);
+        let word = self.bits[w];
+        debug_assert!((word >> at) & 1 == 1, "previous occurrence is live");
+        self.bits[w] = word & !(1 << at);
+        let mut depth = (word >> at).count_ones() - 1;
+        if w < t / 64 {
+            // `prev`'s word is completed, and so is every word before
+            // `t`'s: the tree counts the words between the two.
+            depth += self.flushed - self.prefix(w + 1) + self.bits[t / 64].count_ones();
+            self.flushed -= 1;
+            self.add(w, -1);
+        }
+        depth as usize
+    }
+
+    /// Adds `delta` to completed word `w`'s popcount in the tree.
+    #[inline]
+    fn add(&mut self, w: usize, delta: i32) {
+        let mut i = w + 1;
+        while i <= self.words {
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The popcounts of words `0..end`, all completed, summed.
+    #[inline]
+    fn prefix(&self, end: usize) -> u32 {
+        let (mut sum, mut i) = (0, end);
+        while i > 0 {
+            sum += self.tree[i];
+            i &= i - 1;
+        }
+        sum
+    }
+
+    /// The live positions of the current sweep.
+    fn count(&self) -> usize {
+        self.bits[..self.words]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// Clears the current sweep's bits and tree entries.
+    fn undo(&mut self) {
+        self.bits[..self.words].fill(0);
+        self.tree[1..=self.words].fill(0);
+        self.flushed = 0;
+    }
+
+    /// Every bit and tree entry is zero.
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
+        self.flushed == 0 && self.bits.iter().all(|&w| w == 0) && self.tree.iter().all(|&e| e == 0)
+    }
+}
 
 /// Reusable scratch state for the depth-first traversal.
 ///
@@ -108,19 +212,10 @@ struct Scratch {
     /// Position of `id`'s most recent occurrence within the current sweep
     /// (valid only when `seen_epoch[id] == epoch`).
     last_pos: Vec<u32>,
-    /// Distinct ids touched by the current sweep, recorded for the
-    /// `O(touched)` Fenwick undo.
-    touched: Vec<RefId>,
-    /// Sorted final-occurrence positions of the current sweep's distinct
-    /// references — the small-set alternative to the Fenwick tree, used
-    /// when the node holds at most [`SMALL_SET_MAX`] uniques.
-    live: Vec<u32>,
     /// Generation stamp of the current sweep.
     epoch: u32,
-    /// The shared conflict-depth counter tree, undone after every sweep.
-    /// Grown lazily: traces whose every node fits the small-set path never
-    /// allocate it.
-    fenwick: Fenwick,
+    /// The conflict-depth counter, undone after every sweep.
+    live: LiveCounter,
     /// The hybrid's switch and the fold scratch every node below it
     /// shares; `None` for the pure depth-first engine.
     fold: Option<(Switch, NodeFold)>,
@@ -133,17 +228,14 @@ impl Scratch {
             levels: Vec::new(),
             seen_epoch: vec![0; ref_count],
             last_pos: vec![0; ref_count],
-            touched: Vec::with_capacity(ref_count),
-            live: Vec::with_capacity(ref_count.min(SMALL_SET_MAX)),
             epoch: 0,
-            fenwick: Fenwick::new(0),
+            live: LiveCounter::default(),
             fold: None,
         }
     }
 
     /// Makes sure buffers exist for levels `0..=max_level`. Only ever
-    /// grows; in steady state this is a no-op. (The Fenwick tree grows
-    /// lazily inside the sweep, so small-unique traces never allocate it.)
+    /// grows; in steady state this is a no-op.
     fn ensure(&mut self, max_level: u32) {
         let want = max_level as usize + 1;
         if self.levels.len() < want {
@@ -200,9 +292,8 @@ struct SweepOutcome {
 /// property of the reference — so per-child uniqueness is well defined.)
 ///
 /// `unique` is the node's exact distinct-reference count (known from the
-/// parent's sweep; the root uses the stripped trace's unique count). Nodes
-/// at or under [`SMALL_SET_MAX`] answer depth queries from the sorted
-/// `live` array; larger nodes use the Fenwick tree.
+/// parent's sweep; the root uses the stripped trace's unique count): the
+/// sweep ends with exactly that many live positions.
 fn sweep<const PARTITION: bool>(
     scratch: &mut Scratch,
     level: u32,
@@ -213,21 +304,14 @@ fn sweep<const PARTITION: bool>(
     histogram: &mut Vec<u64>,
 ) -> SweepOutcome {
     let epoch = scratch.next_epoch();
-    let small = unique <= SMALL_SET_MAX;
     let Scratch {
         levels,
         seen_epoch,
         last_pos,
-        touched,
         live,
-        fenwick,
         ..
     } = scratch;
-    touched.clear();
-    live.clear();
-    if !small && fenwick.len() < len {
-        *fenwick = Fenwick::new(len);
-    }
+    live.begin(len);
 
     let mut empty: [RefId; 0] = [];
     let (src, dst): (&[RefId], &mut [RefId]) = if PARTITION {
@@ -256,24 +340,7 @@ fn sweep<const PARTITION: bool>(
         let repeated = seen_epoch[idx] == epoch;
         let mut d = 0;
         if repeated {
-            let prev = last_pos[idx];
-            d = if small {
-                // `live` holds one sorted position per distinct reference
-                // seen so far (its most recent occurrence), all `< t`, so
-                // the conflict depth is the count of entries after `prev` —
-                // and moving this reference's position to `t` is one short
-                // in-L1 shift plus a push.
-                let at = live
-                    .binary_search(&prev)
-                    .expect("previous occurrence is live");
-                let d = live.len() - at - 1;
-                live.remove(at);
-                d
-            } else {
-                let d = fenwick.range_sum(prev as usize + 1, t) as usize;
-                fenwick.add(prev as usize, -1);
-                d
-            };
+            d = live.recur(last_pos[idx] as usize, t);
             if d > 0 {
                 if histogram.len() <= d {
                     histogram.resize(d + 1, 0);
@@ -282,16 +349,9 @@ fn sweep<const PARTITION: bool>(
             }
         } else {
             seen_epoch[idx] = epoch;
-            if !small {
-                touched.push(id);
-            }
         }
         last_pos[idx] = t as u32;
-        if small {
-            live.push(t as u32);
-        } else {
-            fenwick.add(t, 1);
-        }
+        live.push(t);
 
         if PARTITION {
             if addrs[idx] & bit == 0 {
@@ -310,22 +370,9 @@ fn sweep<const PARTITION: bool>(
         }
     }
 
-    // Undo path. Small sets just clear the live array; for the Fenwick,
-    // only the final occurrence of each distinct reference still carries a
-    // +1, so O(touched) point updates restore all-zeroes.
-    if small {
-        debug_assert!(live.len() <= unique, "more live positions than uniques");
-        live.clear();
-    } else {
-        for &id in touched.iter() {
-            fenwick.add(last_pos[id.index()] as usize, -1);
-        }
-        debug_assert_eq!(
-            fenwick.prefix_sum(len),
-            0,
-            "fenwick sweep was not fully undone"
-        );
-    }
+    // Only the final occurrence of each distinct reference is still live.
+    debug_assert_eq!(live.count(), unique, "live positions are not the uniques");
+    live.undo();
 
     if PARTITION {
         debug_assert_eq!(right_write, left_len, "partition lost elements");
@@ -433,6 +480,8 @@ fn visit(
             addrs,
             &mut histograms[level as usize],
         );
+        #[cfg(test)]
+        assert!(scratch.live.is_clean(), "a sweep left the counter dirty");
         return;
     }
     let outcome = sweep::<true>(
@@ -444,6 +493,8 @@ fn visit(
         addrs,
         &mut histograms[level as usize],
     );
+    #[cfg(test)]
+    assert!(scratch.live.is_clean(), "a sweep left the counter dirty");
     if outcome.visit_left {
         visit(
             scratch,
@@ -595,17 +646,16 @@ mod tests {
         }
     }
 
-    /// A trace with more uniques than [`SMALL_SET_MAX`] drives the Fenwick
-    /// path at the shallow levels and the small-set path once recursion
-    /// thins the nodes out — both must agree with the materialized
-    /// reference.
+    /// A root sweep over more than 64 words gives the counter's word tree
+    /// several levels, so recurrences walk it across subtree boundaries;
+    /// the profiles must agree with the materialized reference.
     #[test]
-    fn large_unique_set_crosses_both_query_paths() {
+    fn a_root_sweep_over_many_words_walks_a_deep_word_tree() {
         let trace = generate::uniform_random(20_000, 3_000, 11);
         let stripped = StrippedTrace::from_trace(&trace);
         assert!(
-            stripped.unique_len() > SMALL_SET_MAX,
-            "trace too small to exercise the Fenwick path"
+            stripped.total_len() > 64 * 64,
+            "trace too short for a word tree of several levels"
         );
         let bits = trace.address_bits();
         assert_eq!(depth_first(&trace, bits), materialized(&trace, bits));
@@ -677,8 +727,8 @@ mod tests {
             generate::uniform_random(1_500, 200, 23),
             generate::working_set_phases(5, 200, 30, 41),
             generate::loop_with_excursions(0, 48, 30, 11, 1 << 10, 5),
-            // Over `SMALL_SET_MAX` uniques: the sweeps above the switch
-            // take the Fenwick path.
+            // A 4,000-position root over about a thousand uniques: the
+            // sweeps above the switch walk a word tree of several levels.
             generate::uniform_random(4_000, 1_500, 11),
         ] {
             let width = trace.address_bits();
@@ -720,6 +770,77 @@ mod tests {
         // At level 10 one level is left: 100 · 1 · 8.
         assert!(folds(node(10, 100, 1 << 12, 699)));
         assert!(!folds(node(10, 100, 1 << 12, 700)));
+    }
+
+    /// Drives `counter` and a naive model, one flag per position, through
+    /// one sweep-shaped sequence over `len` positions: a push at each `t`,
+    /// and before most of them a recurrence of a live `prev` drawn from
+    /// `t`'s own word, the word before it, a word at a power-of-two
+    /// boundary of the word tree, or anywhere. Asserts every answer, then
+    /// that the undo leaves every bit and tree entry zero. Returns the
+    /// operations run.
+    fn drive(counter: &mut LiveCounter, len: usize, rng: &mut SplitMix64) -> usize {
+        counter.begin(len);
+        let mut model = vec![false; len];
+        let mut ops = 0;
+        for t in 0..len {
+            let word = t / 64;
+            let (lo, hi) = match rng.gen_range(0u32..5) {
+                0 => (word * 64, t),
+                1 => (word.saturating_sub(1) * 64, word * 64),
+                2 if word > 0 => {
+                    let w = ((1usize << rng.gen_range(0..=word.ilog2())) - 1).min(word - 1);
+                    (w * 64, w * 64 + 64)
+                }
+                3 => (0, t),
+                _ => (0, 0),
+            };
+            if lo < hi {
+                let from = rng.gen_range(lo..hi);
+                if let Some(prev) = (from..hi).chain(lo..from).find(|&p| model[p]) {
+                    let want = model[prev + 1..t].iter().filter(|&&live| live).count();
+                    let got = counter.recur(prev, t);
+                    assert_eq!(got, want, "len {len}, prev {prev}, t {t}");
+                    model[prev] = false;
+                    ops += 1;
+                }
+            }
+            counter.push(t);
+            model[t] = true;
+            ops += 1;
+        }
+        let live = model.iter().filter(|&&live| live).count();
+        assert_eq!(counter.count(), live, "len {len}");
+        counter.undo();
+        assert!(
+            counter.is_clean(),
+            "len {len}: the undo left the counter dirty"
+        );
+        ops
+    }
+
+    /// Lengths on both sides of word and word-tree boundaries, growing
+    /// the buffers and then reusing them for shorter sweeps.
+    #[test]
+    fn the_live_counter_matches_a_naive_model() {
+        let mut rng = SplitMix64::seed_from_u64(0x11fe);
+        let mut counter = LiveCounter::default();
+        let lens = [0, 1, 63, 64, 65, 127, 128, 129, 4096, 4097];
+        for len in lens.into_iter().chain(lens.into_iter().rev()) {
+            drive(&mut counter, len, &mut rng);
+        }
+    }
+
+    #[test]
+    #[ignore = "1M operations; run with --release --include-ignored"]
+    fn the_live_counter_matches_a_naive_model_over_a_million_operations() {
+        let mut rng = SplitMix64::seed_from_u64(0x5EED_11FE);
+        let mut counter = LiveCounter::default();
+        let mut ops = 0;
+        while ops < 1_000_000 {
+            let len = rng.gen_range(0usize..20_000);
+            ops += drive(&mut counter, len, &mut rng);
+        }
     }
 
     /// A scratch arena whose epoch counter is about to wrap must keep

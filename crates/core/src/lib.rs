@@ -31,8 +31,9 @@
 //!
 //! Section 2.4 of the paper sketches a combined variant that never
 //! materializes the tree or the table; [`dfs`] implements it with a
-//! depth-first subtrace partition and Fenwick-tree distance counting, in
-//! `O(N log N)` time per level and linear space. [`streamed`] goes the
+//! depth-first subtrace partition and distance counting over a bit per
+//! position and a Fenwick tree of 64-position words, in `O(N log N)` time
+//! per level and linear space. [`streamed`] goes the
 //! other way: it fuses the MRCT replay with the postlude, folding every
 //! conflict set into the per-level histograms the moment it is produced —
 //! the profiles of all levels in one pass, `O(N')` memory, no

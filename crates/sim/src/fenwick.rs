@@ -1,10 +1,12 @@
 //! A Fenwick (binary indexed) tree over trace positions.
 //!
 //! The one-pass profilers ([`crate::stack`], [`crate::onepass`]) and the
-//! depth-first analytical engine in `cachedse-core` all answer the same
-//! query: *how many distinct addresses were touched between two positions of
-//! a trace?* Keeping a `1` at each address's most recent position and
-//! range-summing turns that into two prefix sums.
+//! MRCT sizing pass in `cachedse-core` all answer the same query: *how many
+//! distinct addresses were touched between two positions of a trace?*
+//! Keeping a `1` at each address's most recent position and range-summing
+//! turns that into two prefix sums. (`cachedse-core`'s depth-first engine
+//! answers it with its own counter over 64-position words, so these
+//! oracles share no counting code with the engine they check.)
 
 /// A Fenwick tree of `u32` counters over `0..len` positions.
 ///
@@ -48,8 +50,8 @@ impl Fenwick {
     /// Adds `delta` to the counter at `pos`.
     ///
     /// Bounds and underflow are verified with debug assertions only: this
-    /// is the innermost operation of the depth-first engine's per-reference
-    /// sweep, and release builds keep it branch-lean. An out-of-range `pos`
+    /// is the innermost operation of the one-pass simulators' per-reference
+    /// loop, and release builds keep it branch-lean. An out-of-range `pos`
     /// cannot touch memory outside the tree in any build — the update loop's
     /// own bound makes it a no-op in release.
     ///
