@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod fingerprint;
 pub mod job;
 mod line;
 pub mod metrics;

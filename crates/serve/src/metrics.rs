@@ -135,6 +135,9 @@ pub struct Metrics {
     /// over-long or non-UTF-8 lines, bad JSON, unknown ops and invalid
     /// job specs.
     pub bad_requests: AtomicU64,
+    /// `file` jobs answered from the recorded parse of a file whose bytes
+    /// still matched it, without parsing the file again.
+    pub parses_skipped: AtomicU64,
     load_hist: Histogram,
     analyze_hist: Histogram,
     frontier_hist: Histogram,
@@ -171,6 +174,7 @@ impl Metrics {
             store_bytes: 0,
             store_errors: 0,
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
+            parses_skipped: self.parses_skipped.load(Ordering::Relaxed),
             load: self.load_hist.snapshot(),
             analyze: self.analyze_hist.snapshot(),
             frontier: self.frontier_hist.snapshot(),
@@ -215,6 +219,9 @@ pub struct StatsSnapshot {
     pub store_errors: u64,
     /// Request lines refused as `bad-spec` before reaching the queue.
     pub bad_requests: u64,
+    /// `file` jobs answered without a parse: the file's length and hash
+    /// matched its path's last parse.
+    pub parses_skipped: u64,
     /// Trace load/generate stage latencies.
     pub load: HistogramSnapshot,
     /// Artifact-build stage latencies (cache misses only).
@@ -244,6 +251,7 @@ impl StatsSnapshot {
             ("store_bytes", Value::from(self.store_bytes)),
             ("store_errors", Value::from(self.store_errors)),
             ("bad_requests", Value::from(self.bad_requests)),
+            ("parses_skipped", Value::from(self.parses_skipped)),
             (
                 "stage_histograms_us",
                 Value::object([
@@ -261,15 +269,16 @@ impl std::fmt::Display for StatsSnapshot {
     /// The grep-friendly one-liner:
     /// `stats: accepted=… completed=… rejected=… failed=… timeouts=…
     /// cache_hits=… cache_misses=… validations=… store_hits=…
-    /// store_misses=… store_evictions=… store_bytes=… store_errors=…` —
-    /// existing fields keep their positions (CI greps them); new fields
-    /// append.
+    /// store_misses=… store_evictions=… store_bytes=… store_errors=…
+    /// parses_skipped=…` — existing fields keep their positions (CI greps
+    /// them); new fields append.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "stats: accepted={} completed={} rejected={} failed={} timeouts={} \
              cache_hits={} cache_misses={} validations={} store_hits={} \
-             store_misses={} store_evictions={} store_bytes={} store_errors={}",
+             store_misses={} store_evictions={} store_bytes={} store_errors={} \
+             parses_skipped={}",
             self.accepted,
             self.completed,
             self.rejected,
@@ -282,7 +291,8 @@ impl std::fmt::Display for StatsSnapshot {
             self.store_misses,
             self.store_evictions,
             self.store_bytes,
-            self.store_errors
+            self.store_errors,
+            self.parses_skipped
         )
     }
 }
@@ -330,17 +340,22 @@ mod tests {
         m.failed.store(1, Ordering::Relaxed);
         m.cache_hits.store(15, Ordering::Relaxed);
         m.cache_misses.store(5, Ordering::Relaxed);
+        m.parses_skipped.store(12, Ordering::Relaxed);
         m.record_stage(Stage::Frontier, Duration::from_micros(12));
         let snap = m.snapshot();
         let line = snap.to_string();
         assert!(line.starts_with("stats: accepted=20 "));
         assert!(line.contains("cache_hits=15"));
         assert!(line.contains("cache_misses=5"));
-        assert!(line.ends_with(" store_bytes=0 store_errors=0"), "{line}");
+        assert!(
+            line.ends_with(" store_bytes=0 store_errors=0 parses_skipped=12"),
+            "{line}"
+        );
         let json = snap.to_json();
         assert_eq!(json.get("completed").and_then(Value::as_u64), Some(19));
         assert_eq!(json.get("store_errors").and_then(Value::as_u64), Some(0));
         assert_eq!(json.get("bad_requests").and_then(Value::as_u64), Some(0));
+        assert_eq!(json.get("parses_skipped").and_then(Value::as_u64), Some(12));
         assert!(json
             .get("stage_histograms_us")
             .and_then(|h| h.get("frontier"))

@@ -19,9 +19,12 @@
 //! ```
 //!
 //! Timeouts are deadline checks at stage boundaries (after load, after
-//! analyze, before the frontier walk) — cooperative, so a worker is never
-//! killed mid-build, and `timeout_ms: 0` deterministically times out at
-//! the first check.
+//! analyze, before the frontier walk) and before each read of a `file`
+//! source — cooperative, so a worker is never killed mid-build, and
+//! `timeout_ms: 0` deterministically times out at the first check.
+//!
+//! A `file` job whose bytes match what its path last parsed into skips the
+//! parse and takes the recorded key (see [`crate::fingerprint`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -35,6 +38,7 @@ use cachedse_sync::{Condvar, Mutex};
 use cachedse_trace::io::read_din;
 use cachedse_trace::Trace;
 
+use crate::fingerprint::{Fingerprint, FingerprintReader, Fingerprints, Parsed};
 use crate::job::{JobError, JobOutcome, JobOutput, JobSpec, TraceSide, TraceSource};
 use crate::metrics::{Metrics, Stage, StatsSnapshot};
 
@@ -46,7 +50,8 @@ pub struct ServiceConfig {
     /// Maximum queued (not yet running) jobs (minimum 1);
     /// [`Service::submit`] rejects beyond this.
     pub queue_depth: usize,
-    /// Maximum distinct traces kept in the artifact cache.
+    /// Maximum distinct traces kept in the artifact cache, and maximum
+    /// `file` paths whose last parse is remembered.
     pub cache_capacity: usize,
     /// Deadline applied to jobs that do not set their own `timeout_ms`
     /// (`None` = no default deadline).
@@ -106,6 +111,9 @@ struct Inner {
     /// Signalled when an outcome lands.
     outcome_ready: Condvar,
     cache: ArtifactCache,
+    /// What each recent `file` path parsed into. Never locked across I/O
+    /// or together with the cache.
+    fingerprints: Fingerprints,
     metrics: Metrics,
     /// Drain signal. The `Release` store in `stop_and_join` pairs with the
     /// `Acquire` loads in `admit` and the worker loop so that everything
@@ -148,6 +156,7 @@ impl Service {
         };
         let inner = Arc::new(Inner {
             cache,
+            fingerprints: Fingerprints::new(config.cache_capacity),
             config,
             state: Mutex::new(State::default()),
             work_ready: Condvar::new(),
@@ -375,41 +384,47 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-fn check_deadline(start: Instant, limit_ms: Option<u64>) -> Result<(), JobError> {
-    match limit_ms {
-        Some(ms) if start.elapsed() >= Duration::from_millis(ms) => {
-            Err(JobError::Timeout { limit_ms: ms })
+/// A job's deadline: `limit_ms` after `start`, or none.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Deadline {
+    pub(crate) start: Instant,
+    pub(crate) limit_ms: Option<u64>,
+}
+
+impl Deadline {
+    /// No deadline at all.
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
+        Self {
+            start: Instant::now(),
+            limit_ms: None,
         }
-        _ => Ok(()),
+    }
+
+    /// [`JobError::Timeout`] once the deadline has passed.
+    pub(crate) fn check(self) -> Result<(), JobError> {
+        match self.limit_ms {
+            Some(ms) if self.start.elapsed() >= Duration::from_millis(ms) => {
+                Err(JobError::Timeout { limit_ms: ms })
+            }
+            _ => Ok(()),
+        }
     }
 }
 
 fn run_job(inner: &Inner, label: &str, spec: &JobSpec) -> JobOutcome {
     let start = Instant::now();
-    let limit_ms = spec.timeout_ms.or(inner.config.default_timeout_ms);
-    check_deadline(start, limit_ms)?;
+    let deadline = Deadline {
+        start,
+        limit_ms: spec.timeout_ms.or(inner.config.default_timeout_ms),
+    };
+    deadline.check()?;
 
     let metrics = &inner.metrics;
     let (key, artifacts, found) = if let TraceSource::Digest(digest) = spec.trace {
         resolve_by_digest(inner, digest, spec.max_index_bits)?
     } else {
-        let load_start = Instant::now();
-        let mut trace = load_trace(&spec.trace)?;
-        if spec.line_bits > 0 {
-            trace = trace.block_aligned(spec.line_bits);
-        }
-        metrics.record_stage(Stage::Load, load_start.elapsed());
-        check_deadline(start, limit_ms)?;
-
-        let max_index_bits = spec.max_index_bits.unwrap_or_else(|| trace.address_bits());
-        let key = ArtifactKey::of(&trace, max_index_bits);
-        let (artifacts, found) = inner.cache.get_or_build(key, || {
-            let analyze_start = Instant::now();
-            let built = TraceArtifacts::build(&trace, max_index_bits);
-            metrics.record_stage(Stage::Analyze, analyze_start.elapsed());
-            built.map_err(JobError::from)
-        })?;
-        (key, artifacts, found)
+        resolve_source(inner, spec, deadline)?
     };
     let counter = match found {
         Found::Hit => &metrics.cache_hits,
@@ -423,7 +438,7 @@ fn run_job(inner: &Inner, label: &str, spec: &JobSpec) -> JobOutcome {
     if inner.config.validate && found != Found::Miss {
         validate_profiles(inner, &key, &artifacts)?;
     }
-    check_deadline(start, limit_ms)?;
+    deadline.check()?;
 
     let frontier_start = Instant::now();
     let result = artifacts.exploration.result(spec.budget)?;
@@ -438,6 +453,80 @@ fn run_job(inner: &Inner, label: &str, spec: &JobSpec) -> JobOutcome {
         digest: key.digest,
         total_micros: u64::try_from(total.as_micros()).unwrap_or(u64::MAX),
     })
+}
+
+/// Resolves a job that carries its trace. A `file` whose bytes match what
+/// its path last parsed into answers from the recorded key, when the cache
+/// or store still holds it; every other job loads its trace, keys it by
+/// digest and builds it once.
+fn resolve_source(
+    inner: &Inner,
+    spec: &JobSpec,
+    deadline: Deadline,
+) -> Result<(ArtifactKey, Arc<TraceArtifacts>, Found), JobError> {
+    let metrics = &inner.metrics;
+    let load_start = Instant::now();
+    if let TraceSource::File(path) = &spec.trace {
+        if let Some(key) = unchanged_file(inner, path, spec, deadline)? {
+            let load = load_start.elapsed();
+            deadline.check()?;
+            if let Some((artifacts, found)) = inner.cache.get(&key) {
+                metrics.record_stage(Stage::Load, load);
+                metrics.parses_skipped.fetch_add(1, Ordering::Relaxed);
+                return Ok((key, artifacts, found));
+            }
+        }
+    }
+    let (mut trace, source) = load_trace(&spec.trace, deadline)?;
+    if spec.line_bits > 0 {
+        trace = trace.block_aligned(spec.line_bits);
+    }
+    metrics.record_stage(Stage::Load, load_start.elapsed());
+    deadline.check()?;
+
+    let max_index_bits = spec.max_index_bits.unwrap_or_else(|| trace.address_bits());
+    let key = ArtifactKey::of(&trace, max_index_bits);
+    if let (TraceSource::File(path), Some(source)) = (&spec.trace, source) {
+        let parsed = Parsed {
+            source,
+            digest: key.digest,
+            address_bits: trace.address_bits(),
+        };
+        inner.fingerprints.record(path, spec.line_bits, parsed);
+    }
+    let (artifacts, found) = inner.cache.get_or_build(key, || {
+        let analyze_start = Instant::now();
+        let built = TraceArtifacts::build(&trace, max_index_bits);
+        metrics.record_stage(Stage::Analyze, analyze_start.elapsed());
+        built.map_err(JobError::from)
+    })?;
+    Ok((key, artifacts, found))
+}
+
+/// The key `path` parsed into last time under the job's `line_bits`, when
+/// the file still has that parse's length and hash; `None` sends the job
+/// to the parse. The length is compared before the file is read.
+fn unchanged_file(
+    inner: &Inner,
+    path: &str,
+    spec: &JobSpec,
+    deadline: Deadline,
+) -> Result<Option<ArtifactKey>, JobError> {
+    let len = regular_file(path)?.len();
+    let Some(parsed) = inner.fingerprints.get(path, spec.line_bits) else {
+        return Ok(None);
+    };
+    if parsed.source.len != len {
+        return Ok(None);
+    }
+    let file = open(path)?;
+    if FingerprintReader::new(file, deadline).hash_to_end(path)? != parsed.source {
+        return Ok(None);
+    }
+    Ok(Some(ArtifactKey {
+        digest: parsed.digest,
+        max_index_bits: spec.max_index_bits.unwrap_or(parsed.address_bits),
+    }))
 }
 
 /// Resolves a digest-only job spec against the cache and its backing
@@ -494,22 +583,41 @@ fn validate_profiles(
     )))
 }
 
-fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
+/// The metadata of `path`, refusing anything but a regular file. Opening a
+/// FIFO or a pipe (`/dev/stdin`) blocks until a writer comes and reading
+/// it until the writer leaves, so it could hold a worker past any
+/// deadline. `metadata` follows symlinks and never blocks.
+fn regular_file(path: &str) -> Result<std::fs::Metadata, JobError> {
+    let metadata = std::fs::metadata(path).map_err(|e| cannot_open(path, e))?;
+    if !metadata.is_file() {
+        return Err(JobError::Trace(format!("{path}: not a regular file")));
+    }
+    Ok(metadata)
+}
+
+fn open(path: &str) -> Result<std::fs::File, JobError> {
+    std::fs::File::open(path).map_err(|e| cannot_open(path, e))
+}
+
+fn cannot_open(path: &str, e: std::io::Error) -> JobError {
+    JobError::Trace(format!("cannot open {path}: {e}"))
+}
+
+/// Loads or generates the job's trace; a `file` source also gives the
+/// fingerprint of the bytes its parse consumed.
+fn load_trace(
+    source: &TraceSource,
+    deadline: Deadline,
+) -> Result<(Trace, Option<Fingerprint>), JobError> {
     match source {
         // Digest specs never reach here: `run_job` resolves them against
         // the cache/store instead of loading a trace.
         TraceSource::Digest(digest) => Err(JobError::DigestUnknown { digest: *digest }),
         TraceSource::File(path) => {
-            // Opening a FIFO or a pipe (`/dev/stdin`) blocks until a writer
-            // comes and reading it until the writer leaves, so it could hold
-            // a worker past any deadline. `metadata` follows symlinks and
-            // never blocks.
-            let cannot_open = |e| JobError::Trace(format!("cannot open {path}: {e}"));
-            if !std::fs::metadata(path).map_err(cannot_open)?.is_file() {
-                return Err(JobError::Trace(format!("{path}: not a regular file")));
-            }
-            let file = std::fs::File::open(path).map_err(cannot_open)?;
-            read_din(file).map_err(|e| JobError::Trace(format!("{path}: {e}")))
+            regular_file(path)?;
+            let mut reader = FingerprintReader::new(open(path)?, deadline);
+            let trace = read_din(&mut reader).map_err(|e| reader.error(path, e))?;
+            Ok((trace, Some(reader.fingerprint())))
         }
         TraceSource::Workload { name, side, seed } => {
             let kernel = cachedse_workloads::by_name(name).ok_or_else(|| {
@@ -519,14 +627,16 @@ fn load_trace(source: &TraceSource) -> Result<Trace, JobError> {
                 Some(seed) => kernel.capture_with_seed(*seed),
                 None => kernel.capture(),
             };
-            Ok(match side {
+            let trace = match side {
                 TraceSide::Data => run.data,
                 TraceSide::Instr => run.instr,
-            })
+            };
+            Ok((trace, None))
         }
         // Parsed specs were checked already; a spec built in code was not.
         TraceSource::Pattern(spec) => spec
             .generate()
+            .map(|trace| (trace, None))
             .map_err(|e| JobError::BadSpec(e.to_string())),
     }
 }
@@ -536,6 +646,10 @@ mod tests {
     use super::*;
     use crate::job::PatternSpec;
     use cachedse_core::{Engine, MissBudget};
+    use cachedse_trace::digest::TraceDigest;
+    use cachedse_trace::generate;
+    use cachedse_trace::io::write_din;
+    use std::path::{Path, PathBuf};
 
     fn loop_spec(id: &str, iterations: u32, budget: u64) -> JobSpec {
         JobSpec {
@@ -751,7 +865,7 @@ mod tests {
             validate: true,
             ..ServiceConfig::default()
         });
-        let trace = load_trace(&loop_spec("x", 10, 0).trace).unwrap();
+        let (trace, _) = load_trace(&loop_spec("x", 10, 0).trace, Deadline::none()).unwrap();
         let key = ArtifactKey::of(&trace, trace.address_bits());
         let built =
             TraceArtifacts::build_with(&trace, key.max_index_bits, Engine::Streamed).unwrap();
@@ -783,7 +897,11 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_structured_error() {
-        let err = load_trace(&TraceSource::File("/nonexistent/trace.din".into())).unwrap_err();
+        let err = load_trace(
+            &TraceSource::File("/nonexistent/trace.din".into()),
+            Deadline::none(),
+        )
+        .unwrap_err();
         assert!(matches!(err, JobError::Trace(_)));
         assert!(err.to_string().contains("/nonexistent/trace.din"));
     }
@@ -878,5 +996,256 @@ mod tests {
         let stats = second.shutdown();
         assert_eq!(stats.store_hits, 1);
         assert_eq!(stats.cache_misses, 0);
+    }
+
+    /// An empty directory of the calling test's own.
+    fn test_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("cachedse-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn din_text(seed: u64) -> String {
+        let mut text = Vec::new();
+        write_din(&mut text, &generate::working_set_phases(2, 400, 64, seed)).unwrap();
+        String::from_utf8(text).unwrap()
+    }
+
+    fn file_spec(id: &str, path: &Path, budget: MissBudget) -> JobSpec {
+        JobSpec {
+            id: Some(id.to_owned()),
+            trace: TraceSource::File(path.to_str().unwrap().to_owned()),
+            budget,
+            max_index_bits: None,
+            line_bits: 0,
+            timeout_ms: None,
+        }
+    }
+
+    fn run(service: &Service, spec: JobSpec) -> JobOutcome {
+        let id = service.submit_blocking(spec).unwrap();
+        service.wait(id).1
+    }
+
+    fn one_worker() -> Service {
+        Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+    }
+
+    /// The paper's K-sweep over one file: one parse and one analysis, then
+    /// seven answers from the recorded parse, each equal to what a fresh
+    /// parse and build of the file answers.
+    #[test]
+    fn a_file_k_sweep_parses_once() {
+        let dir = test_dir("sweep");
+        let path = dir.join("t.din");
+        std::fs::write(&path, din_text(1)).unwrap();
+        let trace = read_din(std::fs::File::open(&path).unwrap()).unwrap();
+        let fresh = TraceArtifacts::build(&trace, trace.address_bits()).unwrap();
+        let service = one_worker();
+        let fractions = [0.01, 0.02, 0.05, 0.08, 0.10, 0.12, 0.15, 0.20];
+        for (k, fraction) in fractions.into_iter().enumerate() {
+            let budget = MissBudget::FractionOfMax(fraction);
+            let output = run(&service, file_spec(&format!("k{k}"), &path, budget)).unwrap();
+            let expected = if k == 0 { Found::Miss } else { Found::Hit };
+            assert_eq!(output.cache, expected);
+            assert_eq!(output.digest, TraceDigest::of_trace(&trace));
+            assert_eq!(output.result, fresh.exploration.result(budget).unwrap());
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.cache_misses, 1);
+        assert_eq!(stats.cache_hits, 7);
+        assert_eq!(stats.parses_skipped, 7);
+        assert_eq!(stats.load.count(), 8, "one load sample per job");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rewrite of the same length, one hex digit changed, fails the hash
+    /// and is parsed again; the job answers the new trace, whose parse is
+    /// then the one recorded.
+    #[test]
+    fn a_same_length_rewrite_is_parsed_again() {
+        let dir = test_dir("rewrite");
+        let path = dir.join("t.din");
+        let budget = MissBudget::Absolute(0);
+        let service = one_worker();
+        std::fs::write(&path, "0 10\n0 20\n0 10\n0 30\n").unwrap();
+        let before = run(&service, file_spec("before", &path, budget)).unwrap();
+        let rewritten = "0 10\n0 20\n0 10\n0 38\n";
+        std::fs::write(&path, rewritten).unwrap();
+        let after = run(&service, file_spec("after", &path, budget)).unwrap();
+        assert_eq!(after.cache, Found::Miss);
+        assert_ne!(after.digest, before.digest);
+        let trace = read_din(rewritten.as_bytes()).unwrap();
+        assert_eq!(after.digest, TraceDigest::of_trace(&trace));
+        let again = run(&service, file_spec("again", &path, budget)).unwrap();
+        assert_eq!((again.cache, again.digest), (Found::Hit, after.digest));
+        assert_eq!(service.shutdown().parses_skipped, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The CR-LF spelling of a trace has other bytes, so it is parsed
+    /// again, and its canonical digest finds the LF spelling's analysis.
+    #[test]
+    fn a_crlf_rewrite_is_parsed_again_and_hits() {
+        let dir = test_dir("crlf");
+        let path = dir.join("t.din");
+        let budget = MissBudget::FractionOfMax(0.05);
+        let service = one_worker();
+        let text = din_text(2);
+        std::fs::write(&path, &text).unwrap();
+        let lf = run(&service, file_spec("lf", &path, budget)).unwrap();
+        std::fs::write(&path, text.replace('\n', "\r\n")).unwrap();
+        let crlf = run(&service, file_spec("crlf", &path, budget)).unwrap();
+        assert_eq!((crlf.cache, crlf.digest), (Found::Hit, lf.digest));
+        assert_eq!(crlf.result, lf.result);
+        assert_eq!(service.shutdown().parses_skipped, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A path whose parse was recorded, then replaced by a directory or a
+    /// FIFO, is still refused before anything opens it.
+    #[cfg(unix)]
+    #[test]
+    fn a_path_replaced_by_a_directory_or_fifo_is_refused() {
+        let dir = test_dir("replaced");
+        let path = dir.join("t.din");
+        let budget = MissBudget::Absolute(0);
+        let service = one_worker();
+        std::fs::write(&path, din_text(3)).unwrap();
+        run(&service, file_spec("file", &path, budget)).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        let err = run(&service, file_spec("dir", &path, budget)).unwrap_err();
+        assert!(err.to_string().contains("not a regular file"), "{err}");
+        std::fs::remove_dir(&path).unwrap();
+        let made = std::process::Command::new("mkfifo")
+            .arg(&path)
+            .status()
+            .unwrap();
+        assert!(made.success());
+        let err = run(&service, file_spec("fifo", &path, budget)).unwrap_err();
+        assert!(err.to_string().contains("not a regular file"), "{err}");
+        assert_eq!(service.shutdown().parses_skipped, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Only a successful parse is recorded.
+    #[test]
+    fn a_failed_parse_records_no_fingerprint() {
+        let dir = test_dir("malformed");
+        let path = dir.join("t.din");
+        let budget = MissBudget::Absolute(0);
+        let service = one_worker();
+        std::fs::write(&path, "0 10\nnot a trace line\n").unwrap();
+        let err = run(&service, file_spec("bad", &path, budget)).unwrap_err();
+        assert!(matches!(err, JobError::Trace(_)), "{err:?}");
+        assert_eq!(service.inner.fingerprints.len(), 0);
+        std::fs::write(&path, "0 10\n0 20\n").unwrap();
+        run(&service, file_spec("good", &path, budget)).unwrap();
+        assert_eq!(service.inner.fingerprints.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A parse is recorded per `(path, line_bits)`, and the key it gives
+    /// carries the job's own `max_index_bits`: each of the three keys is
+    /// built once and answers as a fresh build does.
+    #[test]
+    fn line_bits_and_max_index_bits_get_their_own_keys() {
+        let dir = test_dir("keys");
+        let path = dir.join("t.din");
+        let budget = MissBudget::FractionOfMax(0.1);
+        let service = one_worker();
+        std::fs::write(&path, din_text(4)).unwrap();
+        let trace = read_din(std::fs::File::open(&path).unwrap()).unwrap();
+        let aligned_trace = trace.block_aligned(2);
+        let spec = |line_bits, max_index_bits| JobSpec {
+            line_bits,
+            max_index_bits,
+            ..file_spec("k", &path, budget)
+        };
+        let expected = |trace: &Trace, bits: u32| {
+            let built = TraceArtifacts::build(trace, bits).unwrap();
+            built.exploration.result(budget).unwrap()
+        };
+        for round in 0..2 {
+            let found = if round == 0 { Found::Miss } else { Found::Hit };
+            let plain = run(&service, spec(0, None)).unwrap();
+            assert_eq!(plain.cache, found);
+            assert_eq!(plain.digest, TraceDigest::of_trace(&trace));
+            assert_eq!(plain.result, expected(&trace, trace.address_bits()));
+            let aligned = run(&service, spec(2, None)).unwrap();
+            assert_eq!(aligned.cache, found);
+            assert_eq!(aligned.digest, TraceDigest::of_trace(&aligned_trace));
+            let bits = aligned_trace.address_bits();
+            assert_eq!(aligned.result, expected(&aligned_trace, bits));
+            let capped = run(&service, spec(0, Some(4))).unwrap();
+            assert_eq!(capped.cache, found);
+            assert_eq!(capped.digest, plain.digest);
+            assert_eq!(capped.result, expected(&trace, 4));
+        }
+        assert_eq!(service.inner.fingerprints.len(), 2);
+        let stats = service.shutdown();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (3, 3));
+        // The capped job's first run matched the file but found no key
+        // built under its cap, so it parsed; every second run skipped.
+        assert_eq!(stats.parses_skipped, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A matching file whose analysis left memory answers from the store.
+    #[test]
+    fn a_matching_file_warm_loads_from_the_store() {
+        let dir = test_dir("warm");
+        let path = dir.join("t.din");
+        let budget = MissBudget::Absolute(0);
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            cache_capacity: 1,
+            store: Some(Arc::new(cachedse_store::MemoryStore::new())),
+            ..ServiceConfig::default()
+        });
+        std::fs::write(&path, din_text(5)).unwrap();
+        let first = run(&service, file_spec("a", &path, budget)).unwrap();
+        let capped = JobSpec {
+            max_index_bits: Some(4),
+            ..file_spec("capped", &path, budget)
+        };
+        run(&service, capped).unwrap();
+        let warm = run(&service, file_spec("b", &path, budget)).unwrap();
+        assert_eq!(warm.cache, Found::Warm);
+        assert_eq!(warm.result, first.result);
+        let stats = service.shutdown();
+        assert_eq!(stats.parses_skipped, 1);
+        assert_eq!(stats.store_hits, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The map holds at most `cache_capacity` paths, dropping the oldest.
+    #[test]
+    fn the_fingerprint_map_never_outgrows_the_cache_capacity() {
+        let dir = test_dir("bounded");
+        let budget = MissBudget::Absolute(0);
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            cache_capacity: 2,
+            ..ServiceConfig::default()
+        });
+        let paths: Vec<PathBuf> = (0..5).map(|i| dir.join(format!("t{i}.din"))).collect();
+        for (i, path) in paths.iter().enumerate() {
+            std::fs::write(path, din_text(10 + i as u64)).unwrap();
+            run(&service, file_spec("fill", path, budget)).unwrap();
+            assert!(service.inner.fingerprints.len() <= 2);
+        }
+        assert_eq!(service.inner.fingerprints.len(), 2);
+        run(&service, file_spec("newest", &paths[4], budget)).unwrap();
+        assert_eq!(service.stats().parses_skipped, 1);
+        run(&service, file_spec("oldest", &paths[0], budget)).unwrap();
+        assert_eq!(service.shutdown().parses_skipped, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

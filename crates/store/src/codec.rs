@@ -50,6 +50,7 @@ use cachedse_trace::stats::TraceStats;
 use cachedse_trace::strip::{RefId, StrippedTrace};
 use cachedse_trace::Address;
 
+use crate::xxh64::xxh64;
 use crate::{ArtifactKey, StoreError, TraceArtifacts};
 
 /// The 8-byte format magic.
@@ -73,86 +74,12 @@ const FLAGS_AT: usize = VERSION_AT + 4 + 8 + 4;
 /// Smallest possible entry: magic + version + trailing checksum.
 const MIN_LEN: usize = MAGIC.len() + 4 + 8;
 
-const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
-const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
-const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
-const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
-
-fn le_u64(b: &[u8]) -> u64 {
+pub(crate) fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"))
 }
 
-fn le_u32(b: &[u8]) -> u32 {
+pub(crate) fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(b.try_into().expect("a 4-byte chunk"))
-}
-
-fn xxh_round(acc: u64, lane: u64) -> u64 {
-    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
-        .rotate_left(31)
-        .wrapping_mul(XXH_P1)
-}
-
-fn xxh_merge(h: u64, acc: u64) -> u64 {
-    (h ^ xxh_round(0, acc))
-        .wrapping_mul(XXH_P1)
-        .wrapping_add(XXH_P4)
-}
-
-/// XXH64 with seed 0: four independent lanes over 32-byte stripes, so the
-/// multiplies overlap instead of forming one dependent chain per byte.
-fn xxh64(bytes: &[u8]) -> u64 {
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
-        let mut acc = [
-            XXH_P1.wrapping_add(XXH_P2),
-            XXH_P2,
-            0,
-            XXH_P1.wrapping_neg(),
-        ];
-        for stripe in &mut stripes {
-            for (a, lane) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
-                *a = xxh_round(*a, le_u64(lane));
-            }
-        }
-        let mut h = acc[0]
-            .rotate_left(1)
-            .wrapping_add(acc[1].rotate_left(7))
-            .wrapping_add(acc[2].rotate_left(12))
-            .wrapping_add(acc[3].rotate_left(18));
-        for a in acc {
-            h = xxh_merge(h, a);
-        }
-        h
-    } else {
-        XXH_P5
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let mut words = stripes.remainder().chunks_exact(8);
-    for word in &mut words {
-        h = (h ^ xxh_round(0, le_u64(word)))
-            .rotate_left(27)
-            .wrapping_mul(XXH_P1)
-            .wrapping_add(XXH_P4);
-    }
-    let mut tail = words.remainder();
-    if tail.len() >= 4 {
-        h = (h ^ u64::from(le_u32(&tail[..4])).wrapping_mul(XXH_P1))
-            .rotate_left(23)
-            .wrapping_mul(XXH_P2)
-            .wrapping_add(XXH_P3);
-        tail = &tail[4..];
-    }
-    for &b in tail {
-        h = (h ^ u64::from(b).wrapping_mul(XXH_P5))
-            .rotate_left(11)
-            .wrapping_mul(XXH_P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(XXH_P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(XXH_P3);
-    h ^ (h >> 32)
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {

@@ -38,11 +38,13 @@ pub mod codec;
 mod disk;
 mod memory;
 mod tier;
+mod xxh64;
 
 pub use artifacts::{ArtifactKey, Found, TraceArtifacts};
 pub use disk::DiskStore;
 pub use memory::MemoryStore;
 pub use tier::ArtifactCache;
+pub use xxh64::Xxh64;
 
 use cachedse_trace::digest::TraceDigest;
 use cachedse_trace::stats::TraceStats;
